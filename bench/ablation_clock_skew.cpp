@@ -43,9 +43,10 @@ double median_link_delay_error_ms(sim::SimTime max_skew,
 
   // Compare inferred delays with ground truth on probe-covered links.
   sim::Ecdf errors;
+  const auto view = service.view();
+  const core::NetworkMap& map = view->region_snapshot(core::RegionId{0}).map();
   for (const auto& [from, to] : network.probe_covered_links()) {
-    const double inferred =
-        service.network_map().link_delay(from, to).to_milliseconds();
+    const double inferred = map.link_delay(from, to).to_milliseconds();
     // Ground truth: 10 ms propagation + serialization + mean processing
     // on switch-originated hops (~0.6 ms).
     const bool from_switch =

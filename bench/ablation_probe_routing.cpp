@@ -54,11 +54,13 @@ MapQuality measure_map(bool optimized) {
   sim.run_until(sim::SimTime::seconds(2));
 
   MapQuality q;
+  const auto view = service.view();
+  const core::NetworkMap& map = view->region_snapshot(core::RegionId{0}).map();
   for (const auto& [from, to] : network.switch_links()) {
     ++q.total_switch_links;
     // A link is "covered" when its delay was actually measured (the
     // default estimate is exactly the configured 10 ms).
-    if (service.network_map().link_delay(from, to) >
+    if (map.link_delay(from, to) >
         sim::SimDuration::milliseconds(10)) {
       ++q.covered_switch_links;
     }

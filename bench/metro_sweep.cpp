@@ -3,8 +3,8 @@
 // with exp::MetroTelemetryGen, and runs the same million-task decision
 // stream through two arms —
 //
-//   flat     core::ConcurrentNetworkMap (snapshot mode): every decision is
-//            a metro-wide rank over one flat map.
+//   flat     a one-region core::ShardedNetworkMap: every decision is a
+//            metro-wide rank over one flat region.
 //   sharded  core::ShardedNetworkMap: region shards + summary graph,
 //            decisions via MetroView::pick (two-level with region
 //            pruning), snapshot rebuilds parallelized over regions.
@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "intsched/core/concurrent_map.hpp"
 #include "intsched/core/sharded_map.hpp"
 #include "intsched/edge/workload.hpp"
 #include "intsched/exp/metro.hpp"
@@ -38,7 +37,6 @@
 
 namespace {
 
-using intsched::core::ConcurrentNetworkMap;
 using intsched::core::PickStats;
 using intsched::core::RankingMetric;
 using intsched::core::RegionAssignment;
@@ -250,14 +248,16 @@ int main(int argc, char** argv) {
   std::vector<ArmResult> arms;
 
   {
-    ConcurrentNetworkMap flat{{}, {}, intsched::core::ConcurrencyMode::kSnapshot};
+    ShardedNetworkMap flat{RegionAssignment::single_region()};
+    intsched::core::MetroView::RankScratch scratch;
+    std::vector<ServerRank> ranked;
     arms.push_back(run_arm(
         "flat", opts, batches, hosts,
         [&](const std::vector<intsched::telemetry::ProbeReport>& b,
             intsched::sim::SimTime now) { flat.ingest_batch(b, now); },
         [&](intsched::core::NodeId origin, intsched::sim::SimTime now) {
-          const std::vector<ServerRank> ranked =
-              flat.rank(origin, servers, RankingMetric::kDelay, now);
+          flat.view()->rank_into(origin, servers.data(), servers.size(),
+                                 RankingMetric::kDelay, now, scratch, ranked);
           return ranked.empty() ? intsched::core::kInvalidNode
                                 : ranked.front().server;
         }));

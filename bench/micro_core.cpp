@@ -187,7 +187,8 @@ void BM_WindowMaxQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_WindowMaxQuery);
 
-/// Algorithm 1 over the inferred Fig. 4 map with live telemetry.
+/// Algorithm 1 over the inferred Fig. 4 map with live telemetry, through
+/// the scheduler's route: a one-region ShardedNetworkMap's published view.
 void BM_RankSevenCandidates(benchmark::State& state) {
   sim::Simulator sim;
   exp::Fig4Network network{sim, exp::Fig4Config{}};
@@ -199,12 +200,12 @@ void BM_RankSevenCandidates(benchmark::State& state) {
     if (h->id() == scheduler_id) scheduler_stack = stacks.back().get();
   }
   telemetry::IntCollector collector{network.scheduler_host()};
-  core::NetworkMap map;
+  core::ShardedNetworkMap map{core::RegionAssignment::single_region()};
   scheduler_stack->bind_udp(net::kProbePort, [&](const net::Packet& p) {
     collector.handle_packet(p);
   });
   collector.set_handler([&](const telemetry::ProbeReport& r) {
-    map.ingest(r, sim.now());
+    map.apply(r, sim.now());
   });
   std::vector<std::unique_ptr<telemetry::ProbeAgent>> agents;
   for (net::Host* h : network.hosts()) {
@@ -214,10 +215,11 @@ void BM_RankSevenCandidates(benchmark::State& state) {
     agents.back()->start();
   }
   sim.run_until(sim::SimTime::seconds(1));
-  core::Ranker ranker{map};
+  map.publish();
+  const std::shared_ptr<const core::MetroView> view = map.view();
   const std::vector<core::NodeId> candidates{core::NodeId{1}, core::NodeId{2}, core::NodeId{3}, core::NodeId{4}, core::NodeId{5}, core::NodeId{6}, core::NodeId{7}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ranker.rank(
+    benchmark::DoNotOptimize(view->rank(
         core::NodeId{0}, candidates, core::RankingMetric::kDelay, sim.now()));
   }
 }

@@ -25,6 +25,13 @@
 // way a real deployment would. Default is off: the smoke gate wants the
 // low-variance number (and a 1-core box would just timeshare).
 //
+// An open-loop trial that cannot keep up reports its backlog: arrivals
+// scheduled inside the window that were never issued before it closed
+// (an overloaded producer spends the window draining the warmup's
+// arrivals, so "achieved 0" alone would read as an idle trial). Unknown
+// flags and malformed values exit 2 with the usage line; --help prints
+// it and exits 0.
+//
 // The shared frontend + tick counter are the bench's point:
 // intsched-lint: allow-file(thread-share): producers must share one
 //   frontend/map to measure the serving path under concurrent load
@@ -32,12 +39,15 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -80,43 +90,83 @@ struct QpsOptions {
   std::string json_path;
 };
 
-QpsOptions parse_qps_options(int argc, char** argv) {
-  QpsOptions opts;
+constexpr const char* kUsage =
+    "usage: qps_serve [--full] [--find-max] [--ingest] [--no-plane]\n"
+    "                 [--seed=N] [--pods=N] [--threads=N] [--seconds=S]\n"
+    "                 [--warmup=S] [--offered=QPS] [--slo-p99-us=US]\n"
+    "                 [--candidates=N] [--max-results=N] [--jobs=N]\n"
+    "                 [--json=PATH] [--help]\n";
+
+/// Whole-string number parse: "12x", "" and out-of-range values fail.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end && !text.empty();
+}
+
+enum class ParseOutcome : std::uint8_t { kRun, kHelp, kError };
+
+ParseOutcome parse_qps_options(int argc, char** argv, QpsOptions& opts) {
+  const auto number = [](auto& dst) {
+    return [&dst](std::string_view v) { return parse_number(v, dst); };
+  };
+  const auto non_negative = [](std::int32_t& dst) {
+    return [&dst](std::string_view v) {
+      return parse_number(v, dst) && dst >= 0;
+    };
+  };
+  struct ValueFlag {
+    std::string_view name;  ///< including the trailing '='
+    std::function<bool(std::string_view)> set;
+  };
+  const ValueFlag value_flags[] = {
+      {"--seed=", number(opts.seed)},
+      {"--pods=", number(opts.pods)},
+      {"--threads=", non_negative(opts.threads)},
+      {"--seconds=", number(opts.seconds)},
+      {"--warmup=", number(opts.warmup)},
+      {"--offered=", number(opts.offered)},
+      {"--slo-p99-us=", number(opts.slo_p99_us)},
+      {"--candidates=", non_negative(opts.candidates)},
+      {"--max-results=", number(opts.max_results)},
+      {"--jobs=", non_negative(opts.jobs)},
+      {"--json=",
+       [&](std::string_view v) {
+         opts.json_path = std::string{v};
+         return !v.empty();
+       }},
+  };
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--full") opts.full = true;
-    if (arg == "--find-max") opts.find_max = true;
-    if (arg == "--ingest") opts.ingest = true;
-    if (arg == "--no-plane") opts.no_plane = true;
-    if (arg.rfind("--seed=", 0) == 0) opts.seed = std::stoull(arg.substr(7));
-    if (arg.rfind("--pods=", 0) == 0) opts.pods = std::stoi(arg.substr(7));
-    if (arg.rfind("--threads=", 0) == 0) {
-      opts.threads = std::stoi(arg.substr(10));
+    const std::string_view arg = argv[i];
+    if (arg == "--help" || arg == "-h") return ParseOutcome::kHelp;
+    if (arg == "--full") {
+      opts.full = true;
+    } else if (arg == "--find-max") {
+      opts.find_max = true;
+    } else if (arg == "--ingest") {
+      opts.ingest = true;
+    } else if (arg == "--no-plane") {
+      opts.no_plane = true;
+    } else {
+      const auto flag = std::find_if(
+          std::begin(value_flags), std::end(value_flags),
+          [arg](const ValueFlag& f) { return arg.starts_with(f.name); });
+      if (flag == std::end(value_flags)) {
+        std::cerr << "qps_serve: unknown flag " << arg << "\n";
+        return ParseOutcome::kError;
+      }
+      if (!flag->set(arg.substr(flag->name.size()))) {
+        std::cerr << "qps_serve: malformed value in " << arg << "\n";
+        return ParseOutcome::kError;
+      }
     }
-    if (arg.rfind("--seconds=", 0) == 0) {
-      opts.seconds = std::stod(arg.substr(10));
-    }
-    if (arg.rfind("--warmup=", 0) == 0) opts.warmup = std::stod(arg.substr(9));
-    if (arg.rfind("--offered=", 0) == 0) {
-      opts.offered = std::stod(arg.substr(10));
-    }
-    if (arg.rfind("--slo-p99-us=", 0) == 0) {
-      opts.slo_p99_us = std::stod(arg.substr(13));
-    }
-    if (arg.rfind("--candidates=", 0) == 0) {
-      opts.candidates = std::stoi(arg.substr(13));
-    }
-    if (arg.rfind("--max-results=", 0) == 0) {
-      opts.max_results = std::stoi(arg.substr(14));
-    }
-    if (arg.rfind("--jobs=", 0) == 0) opts.jobs = std::stoi(arg.substr(7));
-    if (arg.rfind("--json=", 0) == 0) opts.json_path = arg.substr(7);
   }
   if (opts.full && opts.pods == 4) opts.pods = 48;
   if (opts.threads <= 0) {
     opts.threads = std::max(1, exp::resolve_jobs(0) - 1);
   }
-  return opts;
+  return ParseOutcome::kRun;
 }
 
 net::MetroConfig make_metro_config(const QpsOptions& opts) {
@@ -180,6 +230,8 @@ struct ProducerOut {
   benchtool::LatencyHistogram hist;
   std::int64_t completed = 0;
   std::int64_t errors = 0;
+  /// Open loop: arrivals scheduled inside the window, never issued.
+  std::int64_t backlogged = 0;
 };
 
 struct TrialStats {
@@ -187,6 +239,7 @@ struct TrialStats {
   double achieved_qps = 0.0;
   std::int64_t completed = 0;
   std::int64_t errors = 0;
+  std::int64_t backlogged = 0;
   benchtool::LatencyHistogram hist;
 };
 
@@ -278,6 +331,15 @@ ProducerOut run_producer(const serve::ServeFrontend& frontend,
       if (!ok) ++out.errors;
     }
   }
+  if (plan.interval_ns > 0 && next < deadline) {
+    // The window closed on a backlog: the arrivals next, next + interval,
+    // ... that fall inside [measure_begin, deadline) were never issued.
+    const auto arrivals_before = [&](std::int64_t t) {
+      return t <= next ? std::int64_t{0}
+                       : (t - next + plan.interval_ns - 1) / plan.interval_ns;
+    };
+    out.backlogged = arrivals_before(deadline) - arrivals_before(measure_begin);
+  }
   return out;
 }
 
@@ -344,6 +406,7 @@ TrialStats run_trial(const serve::ServeFrontend& frontend,
     stats.hist.merge(o.hist);
     stats.completed += o.completed;
     stats.errors += o.errors;
+    stats.backlogged += o.backlogged;
   }
   stats.achieved_qps =
       static_cast<double>(stats.completed) / opts.seconds;
@@ -351,7 +414,8 @@ TrialStats run_trial(const serve::ServeFrontend& frontend,
 }
 
 bool sustained(const TrialStats& t, const QpsOptions& opts) {
-  return t.errors == 0 && t.achieved_qps >= 0.95 * t.offered_qps &&
+  return t.errors == 0 && t.completed > 0 &&
+         t.achieved_qps >= 0.95 * t.offered_qps &&
          t.hist.p99() <= opts.slo_p99_us * 1000.0;
 }
 
@@ -367,7 +431,7 @@ void add_trial_row(exp::TextTable& table, const std::string& name,
                  std::to_string(static_cast<std::int64_t>(t.hist.p50())),
                  std::to_string(static_cast<std::int64_t>(t.hist.p99())),
                  std::to_string(static_cast<std::int64_t>(t.hist.p999())),
-                 std::to_string(t.errors)});
+                 std::to_string(t.errors), std::to_string(t.backlogged)});
 }
 
 void write_trial_json(std::ostream& os, const char* key,
@@ -375,6 +439,7 @@ void write_trial_json(std::ostream& os, const char* key,
   os << "  \"" << key << "\": {\"offered_qps\": " << t.offered_qps
      << ", \"achieved_qps\": " << t.achieved_qps
      << ", \"completed\": " << t.completed << ", \"errors\": " << t.errors
+     << ", \"backlogged\": " << t.backlogged
      << ", \"p50_ns\": " << t.hist.p50() << ", \"p99_ns\": " << t.hist.p99()
      << ", \"p999_ns\": " << t.hist.p999()
      << ", \"sustained\": " << (is_sustained ? "true" : "false") << "}";
@@ -383,10 +448,21 @@ void write_trial_json(std::ostream& os, const char* key,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const QpsOptions opts = parse_qps_options(argc, argv);
+  QpsOptions opts;
+  switch (parse_qps_options(argc, argv, opts)) {
+    case ParseOutcome::kHelp:
+      std::cout << kUsage;
+      return 0;
+    case ParseOutcome::kError:
+      std::cerr << kUsage;
+      return 2;
+    case ParseOutcome::kRun:
+      break;
+  }
   if (opts.pods <= 0 || opts.seconds <= 0.0 || opts.warmup < 0.0 ||
       opts.offered <= 0.0) {
     std::cerr << "qps_serve: --pods/--seconds/--offered must be positive\n";
+    std::cerr << kUsage;
     return 2;
   }
 
@@ -468,7 +544,7 @@ int main(int argc, char** argv) {
 
   exp::TextTable table{"qps_serve: serving-path load"};
   table.set_headers({"trial", "offered qps", "achieved qps", "p50 (ns)",
-                     "p99 (ns)", "p999 (ns)", "errors"});
+                     "p99 (ns)", "p999 (ns)", "errors", "backlogged"});
   add_trial_row(table, "ceiling", ceiling);
   add_trial_row(table, "fixed", fixed);
   for (std::size_t i = 0; i < ladder.size(); ++i) {
@@ -485,7 +561,12 @@ int main(int argc, char** argv) {
             << static_cast<std::int64_t>(fixed.hist.p99()) << "/"
             << static_cast<std::int64_t>(fixed.hist.p999()) << " ns, "
             << (fixed_ok ? "SUSTAINED" : "NOT sustained") << " at p99 <= "
-            << opts.slo_p99_us << " us\n";
+            << opts.slo_p99_us << " us";
+  if (fixed.backlogged > 0) {
+    std::cout << "; BACKLOGGED: " << fixed.backlogged
+              << " arrivals scheduled in the window were never issued";
+  }
+  std::cout << "\n";
   if (opts.find_max) {
     std::cout << "max sustained qps at SLO: " << fmt_qps(max_sustained)
               << "\n";

@@ -59,9 +59,11 @@ int main() {
   // 4. Let the map build, then rank candidates for node 1 on an idle net.
   sim.run_until(sim::SimTime::seconds(2));
   std::cout << "After " << sim::to_string(sim.now()) << ": map knows "
-            << scheduler.network_map().known_link_count()
-            << " directed links from "
-            << scheduler.network_map().reports_ingested()
+            << scheduler.view()
+                   ->region_snapshot(core::RegionId{0})
+                   .map()
+                   .known_link_count()
+            << " directed links from " << scheduler.map().reports_ingested()
             << " probe reports\n\n";
   print_ranking("Ranking for node1 (idle network, delay metric):",
                 scheduler.rank_for(core::NodeId{0}, core::RankingMetric::kDelay));

@@ -74,9 +74,9 @@ struct NetworkMapConfig {
 /// collect-and-reset max-queue registers.
 ///
 /// Threading: thread-confined, no internal locking — ingest mutates every
-/// table. When probe ingest and ranking queries run on different threads
-/// (the deployment shape), wrap it in core::ConcurrentNetworkMap instead
-/// of sharing it directly (DESIGN.md Concurrency model).
+/// table. Schedulers never share one directly: core::ShardedNetworkMap
+/// owns the live maps under its writer lock and readers rank over frozen
+/// copies (DESIGN.md §9-§10).
 class NetworkMap {
  public:
   /// One device/port/statistic telemetry series. Public only as an

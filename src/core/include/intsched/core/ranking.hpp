@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
 #include "intsched/core/contracts.hpp"
 #include "intsched/core/network_map.hpp"
-#include "intsched/net/routing.hpp"
 #include "intsched/sim/units.hpp"
 
 namespace intsched::core {
@@ -119,12 +117,12 @@ struct KCalibrationSample {
 
 // -- pure ranking core (no hidden state) ------------------------------------
 //
-// Every input is explicit: the map, the config, and (for ranking) a
-// precomputed shortest-path result. Ranker (which layers its mutable
-// epoch cache on top), RankSnapshot (the lock-free read path), and
-// MetroView (the two-level metro read path) all call these, so every
-// path produces identical ServerRank vectors by construction rather than
-// by parallel maintenance.
+// Every input is explicit: the map, the config, and the resolved
+// candidate paths. MetroView's uncompiled reference path and the flat
+// Algorithm 1 oracle in tests/support both call these, and the compiled
+// plane kernels below replay the same arithmetic, so every path produces
+// identical ServerRank vectors by construction rather than by parallel
+// maintenance.
 //
 // The estimators are templates over a map-like type so the two-level
 // path can substitute a hierarchical lookup (region shard + summary map,
@@ -189,7 +187,8 @@ template <typename MapLike>
   return sim::DataRate::bits_per_second(min_bps);
 }
 
-/// One candidate with its already-resolved path: what rank_paths scores.
+/// One candidate with its already-resolved path: what rank_paths_into
+/// scores.
 /// An empty path (or any with fewer than two nodes) means unreachable.
 struct CandidatePath {
   core::NodeId server = core::kInvalidNode;
@@ -255,27 +254,6 @@ INTSCHED_HOTPATH void rank_paths_into(const MapLike& map,
     std::sort(out.begin(), out.end(), by_bandwidth);
   }
 }
-
-/// Vector-returning convenience over rank_paths_into (same contract).
-template <typename MapLike>
-[[nodiscard]] INTSCHED_COLDPATH std::vector<ServerRank> rank_paths(
-    const MapLike& map, const RankerConfig& cfg,
-    const std::vector<CandidatePath>& candidates, RankingMetric metric,
-    sim::SimTime now) {
-  std::vector<ServerRank> out;
-  out.reserve(candidates.size());
-  rank_paths_into(map, cfg, candidates.data(), candidates.size(), metric, now,
-                  out);
-  return out;
-}
-
-/// Ranks `candidates` over precomputed shortest paths from the origin,
-/// best first (ascending delay / descending bandwidth, server id as the
-/// deterministic tie-break). Unreachable candidates rank last.
-[[nodiscard]] INTSCHED_COLDPATH std::vector<ServerRank> rank_candidates(
-    const NetworkMap& map, const RankerConfig& cfg,
-    const net::ShortestPaths& sp, const std::vector<core::NodeId>& candidates,
-    RankingMetric metric, sim::SimTime now);
 
 // -- compiled rank planes (DESIGN.md §15) -----------------------------------
 //
@@ -820,128 +798,5 @@ template <typename MapLike>
                           delay, now, nominal, staleness_on, r);
   return r;
 }
-
-/// The paper's scheduler-side ranking engine. Given the live NetworkMap it
-/// computes, for an initiating edge node, the estimated end-to-end delay
-/// (Algorithm 1) and bottleneck bandwidth (§III-D) to every candidate
-/// server, and sorts by the requested metric.
-class Ranker {
- public:
-  Ranker(const NetworkMap& map, RankerConfig config = {})
-      : map_{&map}, cfg_{std::move(config)} {}
-
-  /// Ranks `candidates` as seen from `origin` at time `now`, best first
-  /// (ascending delay, or descending bandwidth). Unreachable candidates
-  /// rank last with delay = SimDuration::max() / bandwidth = 0.
-  [[nodiscard]] std::vector<ServerRank> rank(
-      core::NodeId origin, const std::vector<core::NodeId>& candidates,
-      RankingMetric metric, sim::SimTime now) const;
-
-  /// Algorithm 1 for a single path: sum of link-delay estimates plus
-  /// k * maxQueue for every intermediate device.
-  [[nodiscard]] sim::SimDuration path_delay_estimate(
-      const std::vector<core::NodeId>& path, sim::SimTime now) const;
-
-  /// §III-D: min over links of capacity * (1 - utilization(maxQueue)).
-  [[nodiscard]] sim::DataRate path_bandwidth_estimate(
-      const std::vector<core::NodeId>& path, sim::SimTime now) const;
-
-  [[nodiscard]] const RankerConfig& config() const { return cfg_; }
-
-  /// Changes Algorithm 1's k and invalidates the path cache: cached state
-  /// must never outlive the config it was computed under, so the next
-  /// rank() rebuilds from scratch instead of trusting an epoch match.
-  /// (Today's cache contents — delay graph + Dijkstra memo — happen not
-  /// to depend on k, but the invalidation contract is on the config as a
-  /// whole; concurrent deployments additionally republish their snapshot,
-  /// see ConcurrentNetworkMap::set_k_factor.)
-  void set_k_factor(sim::SimDuration k) {
-    cfg_.k_factor = k;
-    cache_.epoch = Epoch::none();
-    cache_.sp_by_origin.clear();
-    cache_.edge_index.clear();
-  }
-
-  // -- path-cache observability (tests + micro benches) --
-
-  /// Ingest epoch the cached delay-graph snapshot was built at
-  /// (Epoch::none() before the first rank).
-  [[nodiscard]] Epoch path_cache_epoch() const { return cache_.epoch; }
-  [[nodiscard]] std::int64_t path_cache_hits() const { return cache_.hits; }
-  [[nodiscard]] std::int64_t path_cache_misses() const {
-    return cache_.misses;
-  }
-  /// Epoch changes absorbed incrementally (per-origin invalidation) vs by
-  /// clearing the whole Dijkstra memo.
-  [[nodiscard]] std::int64_t delta_refreshes() const {
-    return cache_.delta_refreshes;
-  }
-  [[nodiscard]] std::int64_t full_rebuilds() const {
-    return cache_.full_rebuilds;
-  }
-  /// Cached origins carried across delta refreshes vs dropped by the
-  /// invalidation rule (cumulative over all refreshes).
-  [[nodiscard]] std::int64_t origins_kept() const {
-    return cache_.origins_kept;
-  }
-  [[nodiscard]] std::int64_t origins_dropped() const {
-    return cache_.origins_dropped;
-  }
-
- private:
-  /// Epoch-invalidated snapshot of the map's delay graph plus memoized
-  /// per-origin Dijkstra runs. The link-delay estimates feeding
-  /// delay_graph() change only inside NetworkMap::ingest, and every ingest
-  /// bumps reports_ingested(), so that counter is the cache epoch: reuse
-  /// while it is unchanged, refresh the moment it moves. Congestion terms
-  /// (queue windows) are *not* cached — they depend on the query's `now`
-  /// and are recomputed on every rank.
-  ///
-  /// A refresh is *incremental*: the previous graph's edges are kept in
-  /// `edge_index` (cost + egress port), the fresh delay graph is diffed
-  /// against it, and only origins whose shortest-path result could be
-  /// affected by a changed edge are dropped from the memo (see
-  /// refresh_cache in ranking.cpp for the invalidation rule). On
-  /// metro-scale maps where an ingest batch touches a handful of links,
-  /// most origins keep their Dijkstra results across the epoch bump.
-  struct PathCache {
-    Epoch epoch = Epoch::none();
-    net::Graph graph;
-    std::map<core::NodeId, net::ShortestPaths> sp_by_origin;
-    /// What we remember about each directed edge of `graph`, for diffing
-    /// against the next epoch's delay graph.
-    struct EdgeFacts {
-      sim::SimDuration cost = sim::SimDuration::zero();
-      std::int32_t port = -1;
-    };
-    std::unordered_map<LinkKey, EdgeFacts, LinkKeyHash> edge_index;
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
-    std::int64_t delta_refreshes = 0;
-    std::int64_t full_rebuilds = 0;
-    std::int64_t origins_kept = 0;
-    std::int64_t origins_dropped = 0;
-  };
-
-  /// Brings the cache to the map's current ingest epoch: no-op when the
-  /// epoch is unchanged, otherwise an incremental (or, when the diff is
-  /// large, full) refresh of the graph snapshot and Dijkstra memo.
-  void refresh_cache() const;
-
-  /// Shortest paths from `origin` over a delay-graph snapshot no older
-  /// than the map's current ingest epoch.
-  [[nodiscard]] const net::ShortestPaths& shortest_paths_from(
-      core::NodeId origin) const;
-
-  const NetworkMap* map_;
-  RankerConfig cfg_;
-  // rank() is const (callable from the scheduler's read path); the cache
-  // is a performance side-channel, hence mutable. That also means const
-  // rank() is NOT a read-only operation: concurrent rank() calls on a
-  // shared Ranker race on this cache. Cross-thread use must go through
-  // core::ConcurrentNetworkMap, whose exclusive lock covers both ingest
-  // and rank (DESIGN.md Concurrency model).
-  mutable PathCache cache_;
-};
 
 }  // namespace intsched::core

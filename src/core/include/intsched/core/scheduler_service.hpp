@@ -8,12 +8,11 @@
 
 #include "intsched/core/network_map.hpp"
 #include "intsched/core/ranking.hpp"
+#include "intsched/core/sharded_map.hpp"
 #include "intsched/telemetry/collector.hpp"
 #include "intsched/transport/host_stack.hpp"
 
 namespace intsched::core {
-
-class ShardedNetworkMap;
 
 /// Edge-device query: "give me candidate edge servers ranked by <metric>".
 struct CandidateRequest : net::AppMessage {
@@ -52,8 +51,9 @@ struct SchedulerConfig {
 };
 
 /// The central scheduler process (paper Fig. 1): terminates INT probes into
-/// a NetworkMap, answers candidate queries from edge devices over UDP, and
-/// owns the ranking engine.
+/// a one-region ShardedNetworkMap, answers candidate queries from edge
+/// devices over UDP, and ranks through the map's published MetroView —
+/// the same route the serving frontend and the metro benches use.
 class SchedulerService {
  public:
   SchedulerService(transport::HostStack& stack, RankerConfig ranker_config,
@@ -73,19 +73,18 @@ class SchedulerService {
   /// fresh report exists).
   [[nodiscard]] std::int32_t server_load(core::NodeId server) const;
 
-  [[nodiscard]] NetworkMap& network_map() { return map_; }
-  [[nodiscard]] const NetworkMap& network_map() const { return map_; }
-  [[nodiscard]] Ranker& ranker() { return ranker_; }
   [[nodiscard]] telemetry::IntCollector& collector() { return collector_; }
 
-  /// Routes the service through a region-sharded metro map (DESIGN.md
-  /// §11): probe reports ingest into `metro` instead of the flat map, and
-  /// rank_for answers from its two-level view. Pass nullptr to detach.
-  /// The map must outlive the service (or a later detach); ownership
-  /// stays with the caller — metro deployments share one
-  /// ShardedNetworkMap across scheduler frontends.
-  void attach_metro(ShardedNetworkMap* metro) { metro_ = metro; }
-  [[nodiscard]] ShardedNetworkMap* metro() const { return metro_; }
+  /// The scheduler's map. Probe reports are applied to it without a
+  /// publish; read rankings and link estimates through view().
+  [[nodiscard]] const ShardedNetworkMap& map() const { return map_; }
+
+  /// The map's view of every probe report received so far: publishes
+  /// first when reports arrived since the last publish (a simulated
+  /// scheduler receives tens of reports per query, so publishing per
+  /// report would be wasted work). Region 0's snapshot holds the whole
+  /// inferred network.
+  [[nodiscard]] std::shared_ptr<const MetroView> view();
 
   [[nodiscard]] std::int64_t queries_served() const { return queries_; }
 
@@ -102,7 +101,7 @@ class SchedulerService {
   /// exposed for tests and for co-located schedulers.
   [[nodiscard]] std::vector<ServerRank> rank_for(
       core::NodeId device, RankingMetric metric,
-      const std::vector<std::string>& requirements = {}) const;
+      const std::vector<std::string>& requirements = {});
 
  private:
   struct LoadInfo {
@@ -117,18 +116,14 @@ class SchedulerService {
 
   transport::HostStack& stack_;
   telemetry::IntCollector collector_;
-  NetworkMap map_;
-  Ranker ranker_;
-  ShardedNetworkMap* metro_ = nullptr;  ///< non-owning; see attach_metro
+  ShardedNetworkMap map_;
   SchedulerConfig cfg_;
   std::vector<core::NodeId> servers_;
   std::unordered_map<core::NodeId, std::vector<std::string>> capabilities_;
   std::unordered_map<core::NodeId, LoadInfo> load_;
   std::int64_t queries_ = 0;
-  // rank_for is const (callable from co-located read paths); the counters
-  // are observability side-channels, hence mutable.
-  mutable std::int64_t stale_lookups_ = 0;
-  mutable std::int64_t fallbacks_ = 0;
+  std::int64_t stale_lookups_ = 0;
+  std::int64_t fallbacks_ = 0;
 };
 
 /// Device-side stub: sends CandidateRequests and dispatches responses to

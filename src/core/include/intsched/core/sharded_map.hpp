@@ -1,7 +1,10 @@
 #pragma once
 
-// Region-sharded scheduler state + two-level (metro) ranking — the
-// metro-scale big brother of core::ConcurrentNetworkMap (DESIGN.md §11).
+// Region-sharded scheduler state + two-level (metro) ranking: the one
+// ranking route of the tree (DESIGN.md §10-§11). Every scheduler —
+// SchedulerService's flat deployment (a one-region map), the serving
+// frontend, the metro benches — ingests into a ShardedNetworkMap and
+// ranks through the MetroView it publishes.
 //
 // A metro deployment (net::TopologyGen::ring_of_pods) has thousands of
 // switches but strong locality: almost every link is intra-pod, and pods
@@ -14,11 +17,12 @@
 // Dijkstra memos included, are reused by pointer), and answers queries
 // from an immutable MetroView in two levels: region-local shortest paths
 // plus a summary-graph traversal whose nodes are only the border
-// gateways.
+// gateways. With one region the summary is empty and the view is exactly
+// the flat ranking.
 //
-// This header is a sanctioned concurrent component in the mold of
-// concurrent_map.hpp: the atomics below are the published-view pointer
-// (RCU-style read path) and the contention-free query counter.
+// This header is a sanctioned concurrent component: the atomics below
+// are the published-view pointer (RCU-style read path) and the
+// contention-free query counter.
 // intsched-lint: allow-file(thread-share): concurrent facade by design;
 //   see DESIGN.md §10-§11
 
@@ -64,10 +68,19 @@ class RegionAssignment {
   [[nodiscard]] static RegionAssignment from_topology(
       const net::GenTopology& topo);
 
+  /// Every valid NodeId — listed or not — in region 0: the flat
+  /// scheduler's deployment, where a one-region ShardedNetworkMap holds
+  /// exactly what a single NetworkMap would (no summary links, no
+  /// borders).
+  [[nodiscard]] static RegionAssignment single_region() {
+    RegionAssignment one{{}, core::RegionId{1}};
+    one.unlisted_ = core::RegionId{0};
+    return one;
+  }
+
   [[nodiscard]] core::RegionId region_of(core::NodeId n) const {
-    if (!n.valid() || n.index() >= by_node_.size()) {
-      return core::kNoRegion;
-    }
+    if (!n.valid()) return core::kNoRegion;
+    if (n.index() >= by_node_.size()) return unlisted_;
     return by_node_[n.index()];
   }
   [[nodiscard]] core::RegionId count() const { return count_; }
@@ -75,6 +88,8 @@ class RegionAssignment {
  private:
   std::vector<core::RegionId> by_node_;
   core::RegionId count_{0};
+  /// Region of valid ids past the end of `by_node_`.
+  core::RegionId unlisted_ = core::kNoRegion;
 };
 
 struct ShardedMapConfig {
@@ -96,11 +111,11 @@ struct PickStats {
 /// augmented summary graph (border links + per-region transit edges whose
 /// costs are region shortest-path distances).
 ///
-/// Thread-safety model mirrors RankSnapshot: everything is frozen at
-/// construction except the per-origin query-context memo, which fills
-/// lazily under a per-slot std::once_flag (slot set fixed at
-/// construction). Region snapshots are shared with — and may outlive —
-/// the publishing ShardedNetworkMap.
+/// Thread-safety model: everything is frozen at construction except the
+/// per-origin query-context memo (and the region snapshots' Dijkstra
+/// memos it reads), which fills lazily under a per-slot std::once_flag
+/// (slot set fixed at construction). Region snapshots are shared with —
+/// and may outlive — the publishing ShardedNetworkMap.
 ///
 /// Determinism / exactness: rank() scores candidates with the same
 /// rank_paths/estimator templates as the flat path, over paths assembled
@@ -159,9 +174,9 @@ class MetroView {
   MetroView(const MetroView&) = delete;
   MetroView& operator=(const MetroView&) = delete;
 
-  /// Two-level ranking, identical output contract to Ranker::rank /
-  /// RankSnapshot::rank (best first, server-id tie-break, unreachable
-  /// last with delay = max / bandwidth = 0).
+  /// Two-level ranking with Algorithm 1's output contract (best first,
+  /// server-id tie-break, unreachable last with delay = max /
+  /// bandwidth = 0).
   [[nodiscard]] INTSCHED_HOTPATH std::vector<ServerRank> rank(
       core::NodeId origin, const std::vector<core::NodeId>& candidates,
       RankingMetric metric, sim::SimTime now) const;
@@ -387,16 +402,17 @@ class MetroView {
   std::map<core::NodeId, CtxSlot> ctx_slots_;
 };
 
-/// Region-sharded ConcurrentNetworkMap: ingest routes every learned link
-/// and telemetry record to the owning shard under the writer lock, a
-/// publish rebuilds only the region snapshots whose shard actually moved,
-/// and rank()/pick() run lock-free over the published MetroView.
+/// Region-sharded scheduler map: ingest routes every learned link and
+/// telemetry record to the owning shard under the writer lock, a publish
+/// rebuilds only the region snapshots whose shard actually moved, and
+/// rank()/pick() run lock-free over the published MetroView.
 ///
 /// Equivalence contract (property-tested): for any report sequence,
-/// rank() agrees with a flat ConcurrentNetworkMap fed the same reports —
-/// field-exactly when regions are delay-isolated with unique shortest
-/// paths, within the DESIGN.md §11 bound otherwise — and is byte-stable
-/// across rebuild executors (serial, 2 threads, 8 threads).
+/// rank() agrees with the flat Algorithm 1 oracle (tests/support) fed the
+/// same reports — exactly for a one-region map, field-exactly when
+/// regions are delay-isolated with unique shortest paths, within the
+/// DESIGN.md §11 bound otherwise — and is byte-stable across rebuild
+/// executors (serial, 2 threads, 8 threads).
 class ShardedNetworkMap {
  public:
   explicit ShardedNetworkMap(RegionAssignment regions,
@@ -405,8 +421,18 @@ class ShardedNetworkMap {
   ShardedNetworkMap(const ShardedNetworkMap&) = delete;
   ShardedNetworkMap& operator=(const ShardedNetworkMap&) = delete;
 
-  /// Ingests one probe report and publishes a fresh view (freshness
-  /// contract as ConcurrentNetworkMap::ingest).
+  /// Applies one probe report to the shards without publishing: readers
+  /// keep the previous view until the next publish(). For writers that
+  /// apply many reports between reads (the simulated scheduler).
+  INTSCHED_COLDPATH void apply(const telemetry::ProbeReport& report,
+                               sim::SimTime now) INTSCHED_EXCLUDES(mutex_);
+
+  /// Publishes a view of everything applied so far. Freshness contract:
+  /// a view() acquired after publish() returns has epoch() ==
+  /// reports_ingested() at that return.
+  INTSCHED_COLDPATH void publish() INTSCHED_EXCLUDES(mutex_);
+
+  /// apply() then publish(), in one critical section.
   INTSCHED_COLDPATH void ingest(const telemetry::ProbeReport& report,
                                 sim::SimTime now) INTSCHED_EXCLUDES(mutex_);
 
@@ -426,8 +452,8 @@ class ShardedNetworkMap {
       RankingMetric metric, sim::SimTime now,
       PickStats* stats = nullptr) const INTSCHED_EXCLUDES(mutex_);
 
-  /// Changes Algorithm 1's k and republishes (all regions rebuilt: cached
-  /// state must never outlive the config it was computed under).
+  /// Changes Algorithm 1's k and republishes, so the very next view
+  /// ranks under the new k (no ingest needed).
   INTSCHED_COLDPATH void set_k_factor(sim::SimDuration k)
       INTSCHED_EXCLUDES(mutex_);
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "intsched/core/sharded_map.hpp"
-
 namespace intsched::core {
 namespace {
 
@@ -22,19 +20,16 @@ SchedulerService::SchedulerService(transport::HostStack& stack,
                                    SchedulerConfig scheduler_config)
     : stack_{stack},
       collector_{stack.host()},
-      map_{map_config},
-      ranker_{map_, std::move(ranker_config)},
+      map_{RegionAssignment::single_region(),
+           ShardedMapConfig{.map = map_config,
+                            .ranker = std::move(ranker_config)}},
       cfg_{scheduler_config} {
   // Probe sink: INT termination into the network map.
   stack_.bind_udp(net::kProbePort, [this](const net::Packet& p) {
     collector_.handle_packet(p);
   });
   collector_.set_handler([this](const telemetry::ProbeReport& report) {
-    if (metro_ != nullptr) {
-      metro_->ingest(report, stack_.host().local_time());
-      return;
-    }
-    map_.ingest(report, stack_.host().local_time());
+    map_.apply(report, stack_.host().local_time());
   });
   // Query + load-report front-end.
   stack_.bind_udp(net::kSchedulerPort, [this](const net::Packet& p) {
@@ -81,20 +76,25 @@ bool SchedulerService::satisfies(
   });
 }
 
+std::shared_ptr<const MetroView> SchedulerService::view() {
+  std::shared_ptr<const MetroView> current = map_.view();
+  if (current->epoch() != Epoch{map_.reports_ingested()}) {
+    map_.publish();
+    current = map_.view();
+  }
+  return current;
+}
+
 std::vector<ServerRank> SchedulerService::rank_for(
     core::NodeId device, RankingMetric metric,
-    const std::vector<std::string>& requirements) const {
+    const std::vector<std::string>& requirements) {
   std::vector<core::NodeId> candidates;
   candidates.reserve(servers_.size());
   for (const core::NodeId s : servers_) {
     if (s != device && satisfies(s, requirements)) candidates.push_back(s);
   }
   std::vector<ServerRank> ranked =
-      metro_ != nullptr
-          ? metro_->rank(device, candidates, metric,
-                         stack_.host().local_time())
-          : ranker_.rank(device, candidates, metric,
-                         stack_.host().local_time());
+      view()->rank(device, candidates, metric, stack_.host().local_time());
   for (ServerRank& r : ranked) r.outstanding_tasks = server_load(r.server);
 
   if (cfg_.compute_aware) {

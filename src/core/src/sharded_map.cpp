@@ -124,6 +124,9 @@ void MetroView::build_context(core::NodeId origin, QueryContext& ctx) const {
   net::Graph g = summary_graph_;
   for (const core::NodeId b :
        borders_by_region_[ctx.region.index()]) {
+    // A border origin is already a summary node; an origin->origin edge
+    // would only add a zero-cost self-loop.
+    if (b == origin) continue;
     const auto d = ctx.sp0->distance.find(b);
     if (d == ctx.sp0->distance.end()) continue;
     g.add_edge(origin, b, -1, d->second);
@@ -197,14 +200,15 @@ void MetroView::expand_summary_path_into(const QueryContext& ctx,
     const core::NodeId v = scratch.spine[i];
     if (u == origin) {
       // Synthetic first edge: splice the region-local path origin..v.
-      // (If the origin is itself a summary node, a real edge u->v has
-      // the same cost as this splice, so either interpretation is
-      // sound.)
+      // (If the origin is itself a border, a transit edge u->v has the
+      // same cost as this splice, so either interpretation is sound; a
+      // real cross-region edge u->v has no region path and falls
+      // through to the hop case below.)
       scratch.seg.clear();
       if (ctx.sp0->append_path_to(v, scratch.seg)) {
         out.insert(out.end(), scratch.seg.begin() + 1, scratch.seg.end());
+        continue;
       }
-      continue;
     }
     const auto t = transit_region_.find({u, v});
     if (t != transit_region_.end()) {
@@ -574,7 +578,7 @@ void ShardedNetworkMap::apply_report_locked(
 
 std::shared_ptr<const RankSnapshot> ShardedNetworkMap::build_region_snapshot(
     std::size_t r) const {
-  return std::make_shared<const RankSnapshot>(region_maps_[r], cfg_.ranker);
+  return std::make_shared<const RankSnapshot>(region_maps_[r]);
 }
 
 void ShardedNetworkMap::publish_locked() {
@@ -621,6 +625,17 @@ void ShardedNetworkMap::publish_locked() {
   ++publishes_;
 }
 
+void ShardedNetworkMap::apply(const telemetry::ProbeReport& report,
+                              sim::SimTime now) {
+  LockGuard lock{mutex_};
+  apply_report_locked(report, now);
+}
+
+void ShardedNetworkMap::publish() {
+  LockGuard lock{mutex_};
+  publish_locked();
+}
+
 void ShardedNetworkMap::ingest(const telemetry::ProbeReport& report,
                                sim::SimTime now) {
   LockGuard lock{mutex_};
@@ -657,11 +672,9 @@ std::optional<ServerRank> ShardedNetworkMap::pick(
 
 void ShardedNetworkMap::set_k_factor(sim::SimDuration k) {
   LockGuard lock{mutex_};
+  // Region snapshots hold no ranker config (their Dijkstra memos are
+  // k-independent); the new view carries the new k.
   cfg_.ranker.k_factor = k;
-  // Cached state must never outlive the config it was computed under:
-  // drop every snapshot so publish rebuilds them under the new config.
-  std::fill(last_snaps_.begin(), last_snaps_.end(), nullptr);
-  last_summary_ = nullptr;
   publish_locked();
 }
 

@@ -198,7 +198,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     result.probes_sent += agent->probes_sent();
     result.probe_bytes_sent += agent->bytes_sent();
   }
-  result.probe_reports = service.network_map().reports_ingested();
+  result.probe_reports = service.map().reports_ingested();
   result.queries_served = service.queries_served();
   for (const p4::P4Switch* sw : network.switches()) {
     result.switch_queue_drops += sw->queue_drops();
@@ -217,7 +217,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
   result.degradation.malformed_reports = service.collector().malformed();
   result.degradation.rejected_entries =
-      service.network_map().rejected_entries();
+      service.map().rejected_entries();
   result.degradation.stale_lookups = service.stale_lookups();
   result.degradation.fallback_decisions = service.fallback_decisions();
   result.metrics = std::move(metrics);

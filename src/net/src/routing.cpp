@@ -74,6 +74,10 @@ ShortestPaths dijkstra(const Graph& g, core::NodeId source) {
     const auto adj = g.adjacency.find(node);
     if (adj == g.adjacency.end()) continue;
     for (const auto& edge : adj->second) {
+      // The source is settled at distance zero and has no predecessor;
+      // a zero-cost edge back into it (a self-loop, or a zero-delay
+      // cycle) would otherwise "tie" and look up that missing entry.
+      if (edge.to == source) continue;
       const sim::SimDuration next_dist = dist + edge.cost;
       const auto cur = result.distance.find(edge.to);
       const bool improves = cur == result.distance.end() ||

@@ -14,7 +14,7 @@ namespace intsched::telemetry {
 /// concurrent map means one writer critical section — and, on the snapshot
 /// read path, one full snapshot publication — per probe. ReportBatcher
 /// sits between the collector and the map: it buffers reports and emits
-/// them as one batch, sized for ConcurrentNetworkMap::ingest_batch, so a
+/// them as one batch, sized for ShardedNetworkMap::ingest_batch, so a
 /// burst of N probes costs one publish instead of N.
 ///
 /// Flush policy: automatically when the buffer reaches `max_batch`
@@ -25,7 +25,7 @@ namespace intsched::telemetry {
 ///
 /// Threading: thread-confined like the IntCollector that feeds it (the
 /// simulator is single-threaded by contract); only the batch handler's
-/// target (e.g. ConcurrentNetworkMap) is thread-safe.
+/// target (e.g. core::ShardedNetworkMap) is thread-safe.
 class ReportBatcher {
  public:
   using BatchHandler = std::function<void(const std::vector<ProbeReport>&)>;

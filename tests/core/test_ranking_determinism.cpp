@@ -11,6 +11,7 @@
 
 #include "intsched/core/network_map.hpp"
 #include "intsched/core/ranking.hpp"
+#include "support/flat_ranker.hpp"
 
 namespace intsched::core {
 namespace {

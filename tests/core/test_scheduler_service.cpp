@@ -1,5 +1,6 @@
 // Scheduler service on the Fig. 4 network: probes feed the map, UDP
-// queries get ranked responses.
+// queries get ranked responses, and every answer matches the flat
+// Algorithm 1 oracle (tests/support) over a map fed the same probes.
 #include "intsched/core/scheduler_service.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include "intsched/exp/fig4.hpp"
 #include "intsched/net/fault.hpp"
 #include "intsched/telemetry/probe_agent.hpp"
+#include "support/flat_ranker.hpp"
 
 namespace intsched::core {
 namespace {
@@ -18,6 +20,33 @@ struct ServiceFixture : ::testing::Test {
   std::vector<std::unique_ptr<transport::HostStack>> stacks;
   std::unique_ptr<SchedulerService> service;
   std::vector<std::unique_ptr<telemetry::ProbeAgent>> agents;
+  /// Flat oracle state: a plain NetworkMap fed every probe the service
+  /// receives, through its own collector (see tap_flat_map).
+  std::unique_ptr<telemetry::IntCollector> tap;
+  NetworkMap flat;
+
+  /// Splits the scheduler host's probe port between the service and a
+  /// second collector ingesting into `flat`.
+  void tap_flat_map() {
+    tap = std::make_unique<telemetry::IntCollector>(network.scheduler_host());
+    tap->set_handler([this](const telemetry::ProbeReport& r) {
+      flat.ingest(r, stacks[5]->host().local_time());
+    });
+    stacks[5]->bind_udp(net::kProbePort, [this](const net::Packet& p) {
+      service->collector().handle_packet(p);
+      tap->handle_packet(p);
+    });
+  }
+
+  /// rank_for's candidate set: every registered server but the device.
+  [[nodiscard]] std::vector<core::NodeId> candidates_for(
+      core::NodeId device) const {
+    std::vector<core::NodeId> c;
+    for (const core::NodeId s : service->edge_servers()) {
+      if (s != device) c.push_back(s);
+    }
+    return c;
+  }
 
   void SetUp() override {
     for (net::Host* h : network.hosts()) {
@@ -39,13 +68,14 @@ struct ServiceFixture : ::testing::Test {
 
 TEST_F(ServiceFixture, ProbesBuildFullHostMap) {
   sim.run_until(sim::SimTime::seconds(1));
+  const auto view = service->view();
+  const NetworkMap& map = view->region_snapshot(core::RegionId{0}).map();
   for (const core::NodeId id : network.host_ids()) {
-    EXPECT_TRUE(service->network_map().knows_node(id)) << "host " << id;
+    EXPECT_TRUE(map.knows_node(id)) << "host " << id;
   }
   // All 12 switches observed.
   for (const p4::P4Switch* sw : network.switches()) {
-    EXPECT_TRUE(service->network_map().knows_node(sw->id()))
-        << sw->name();
+    EXPECT_TRUE(map.knows_node(sw->id())) << sw->name();
   }
 }
 
@@ -133,8 +163,65 @@ TEST_F(ServiceFixture, ProbeReportsCounted) {
   sim.run_until(sim::SimTime::seconds(1));
   EXPECT_GT(service->collector().probes_received(), 50);
   EXPECT_EQ(service->collector().malformed(), 0);
-  EXPECT_EQ(service->network_map().reports_ingested(),
+  EXPECT_EQ(service->map().reports_ingested(),
             service->collector().probes_received());
+}
+
+// The service ranks through its one-region map's published view; the
+// answers must be exactly the flat oracle's over the same probes.
+TEST_F(ServiceFixture, RankForMatchesFlatOracle) {
+  tap_flat_map();
+  sim.run_until(sim::SimTime::seconds(2));
+  const Ranker oracle{flat};
+  for (const core::NodeId device : {core::NodeId{0}, core::NodeId{3}}) {
+    for (const auto metric :
+         {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
+      const auto got = service->rank_for(device, metric);
+      const auto want =
+          oracle.rank(device, candidates_for(device), metric, sim.now());
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].server, want[i].server) << "rank " << i;
+        EXPECT_EQ(got[i].delay_estimate, want[i].delay_estimate);
+        EXPECT_EQ(got[i].bandwidth_estimate.bps(),
+                  want[i].bandwidth_estimate.bps());
+        EXPECT_EQ(got[i].baseline_delay, want[i].baseline_delay);
+      }
+    }
+  }
+  EXPECT_EQ(service->map().reports_ingested(), flat.reports_ingested());
+}
+
+// Probes traverse the Fig. 4 network while armed link flaps cut and
+// restore links mid-run. The service's lazily published view must never
+// diverge from the oracle's fresh Dijkstra over the same probes.
+TEST_F(ServiceFixture, Fig4LinkFlapsMatchFlatOracle) {
+  tap_flat_map();
+  net::FaultPlanConfig fault_cfg;
+  fault_cfg.seed = 42;
+  fault_cfg.link_flaps.push_back(net::LinkFlapSpec{
+      core::NodeId{0}, core::NodeId{8}, sim::SimTime::seconds(2), sim::SimTime::seconds(5)});
+  fault_cfg.link_flaps.push_back(net::LinkFlapSpec{
+      core::NodeId{4}, core::NodeId{10}, sim::SimTime::seconds(3), sim::SimTime::seconds(7)});
+  net::FaultPlan plan{fault_cfg};
+  plan.arm(network.topology());
+
+  const Ranker oracle{flat};
+  for (int second = 1; second <= 9; ++second) {
+    sim.run_until(sim::SimTime::seconds(second));
+    for (const core::NodeId device :
+         {core::NodeId{0}, core::NodeId{2}, core::NodeId{4}, core::NodeId{6}}) {
+      const auto got = service->rank_for(device, RankingMetric::kDelay);
+      const auto want = oracle.rank(device, candidates_for(device),
+                                    RankingMetric::kDelay, sim.now());
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].server, want[i].server)
+            << "t=" << second << "s rank " << i;
+        EXPECT_EQ(got[i].delay_estimate, want[i].delay_estimate);
+      }
+    }
+  }
 }
 
 // -- Graceful degradation under telemetry loss --

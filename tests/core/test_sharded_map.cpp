@@ -1,6 +1,7 @@
-// ShardedNetworkMap / MetroView: the two-level metro read path must be a
-// drop-in for the flat ConcurrentNetworkMap — field-exact rank agreement
-// in the delay-isolated metro regime, pick() == rank()[0] with real
+// ShardedNetworkMap / MetroView: the two-level metro read path must agree
+// with the flat Algorithm 1 oracle (tests/support) — field-exact in the
+// delay-isolated metro regime, border-gateway origins and forged device
+// ids included — pick() == rank()[0] with real
 // region pruning, byte-identical results across rebuild-executor widths
 // (serial / 2 / 8 threads), and an 8-reader/1-writer torture run
 // mirroring the RankSnapshot one (this file rides in concurrency_tests,
@@ -9,19 +10,20 @@
 // The torture test's cross-thread state is the maps themselves:
 #include "intsched/core/sharded_map.hpp"
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "intsched/core/concurrent_map.hpp"
 #include "intsched/core/scheduler_service.hpp"
 #include "intsched/exp/fig4.hpp"
 #include "intsched/exp/metro.hpp"
 #include "intsched/exp/sweep_runner.hpp"
 #include "intsched/net/topology_gen.hpp"
 #include "intsched/telemetry/probe_agent.hpp"
+#include "support/flat_ranker.hpp"
 
 namespace intsched::core {
 namespace {
@@ -79,7 +81,8 @@ struct MetroFixture {
 TEST(ShardedMapTest, MatchesFlatFieldExactEveryEpoch) {
   MetroFixture m{3, 8};
   ShardedNetworkMap sharded{RegionAssignment::from_topology(m.topo)};
-  ConcurrentNetworkMap flat;  // snapshot mode
+  NetworkMap flat_map;
+  const Ranker flat{flat_map};
   EXPECT_EQ(sharded.region_count(), core::RegionId{3});
 
   const std::vector<core::NodeId> origins = m.topo.hosts();
@@ -87,7 +90,7 @@ TEST(ShardedMapTest, MatchesFlatFieldExactEveryEpoch) {
   for (std::size_t e = 0; e < m.batches.size(); ++e) {
     const sim::SimTime now = MetroFixture::epoch_time(e);
     sharded.ingest_batch(m.batches[e], now);
-    flat.ingest_batch(m.batches[e], now);
+    for (const auto& r : m.batches[e]) flat_map.ingest(r, now);
     for (const core::NodeId origin : origins) {
       for (const auto metric :
            {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
@@ -104,7 +107,7 @@ TEST(ShardedMapTest, MatchesFlatFieldExactEveryEpoch) {
       }
     }
   }
-  EXPECT_EQ(sharded.reports_ingested(), flat.reports_ingested());
+  EXPECT_EQ(sharded.reports_ingested(), flat_map.reports_ingested());
   EXPECT_EQ(sharded.rejected_entries(), 0);
 }
 
@@ -209,9 +212,12 @@ TEST(ShardedMapTest, SetKFactorRepublishesEverything) {
   EXPECT_EQ(after->config().k_factor, sim::SimDuration::milliseconds(40));
 
   // The new k flows into delay estimates (flat map as the oracle).
-  ConcurrentNetworkMap flat{{}, RankerConfig{.k_factor =
-                                                 sim::SimDuration::milliseconds(40)}};
-  flat.ingest_batch(m.batches[0], MetroFixture::epoch_time(0));
+  NetworkMap flat_map;
+  for (const auto& r : m.batches[0]) {
+    flat_map.ingest(r, MetroFixture::epoch_time(0));
+  }
+  const Ranker flat{flat_map, RankerConfig{.k_factor =
+                                               sim::SimDuration::milliseconds(40)}};
   const std::vector<core::NodeId> candidates = m.topo.edge_servers();
   const sim::SimTime now = MetroFixture::epoch_time(1);
   expect_ranks_identical(
@@ -282,10 +288,13 @@ TEST(ShardedMapTest, TortureEightReadersOneWriter) {
   EXPECT_EQ(shared.view()->epoch(), core::Epoch{expected_reports});
 
   // Quiesced state replays field-identically against the flat oracle.
-  ConcurrentNetworkMap flat;
+  NetworkMap flat_map;
   for (std::size_t e = 0; e < m.batches.size(); ++e) {
-    flat.ingest_batch(m.batches[e], MetroFixture::epoch_time(e));
+    for (const auto& r : m.batches[e]) {
+      flat_map.ingest(r, MetroFixture::epoch_time(e));
+    }
   }
+  const Ranker flat{flat_map};
   const sim::SimTime now = MetroFixture::epoch_time(m.batches.size());
   for (const core::NodeId origin : {origins[0], origins[5]}) {
     for (const auto metric :
@@ -297,41 +306,77 @@ TEST(ShardedMapTest, TortureEightReadersOneWriter) {
   }
 }
 
-// SchedulerService with an attached single-region metro map must behave
-// exactly like the stock flat service: same probe traffic, same answers.
-TEST(ShardedMapTest, SchedulerServiceRoutesThroughAttachedMetro) {
-  const auto run_service =
-      [](ShardedNetworkMap* metro) -> std::vector<ServerRank> {
-    sim::Simulator sim;
-    exp::Fig4Network network{sim, exp::Fig4Config{}};
-    std::vector<std::unique_ptr<transport::HostStack>> stacks;
-    for (net::Host* h : network.hosts()) {
-      stacks.push_back(std::make_unique<transport::HostStack>(*h));
-    }
-    SchedulerService service{*stacks[5], RankerConfig{}, NetworkMapConfig{}};
-    if (metro != nullptr) service.attach_metro(metro);
-    for (const core::NodeId id : network.host_ids()) {
-      service.register_edge_server(id);
-    }
-    std::vector<std::unique_ptr<telemetry::ProbeAgent>> agents;
-    for (net::Host* h : network.hosts()) {
-      if (h->id() == network.scheduler_host().id()) continue;
-      agents.push_back(std::make_unique<telemetry::ProbeAgent>(
-          *h, network.scheduler_host().id()));
-      agents.back()->start();
-    }
-    sim.run_until(sim::SimTime::seconds(2));
-    return service.rank_for(core::NodeId{0}, RankingMetric::kDelay);
-  };
+// Border-gateway origins: a query from a node that is itself one of its
+// region's borders must rank, pick and match the flat oracle like any
+// other origin (its summary Dijkstra starts at a real summary node).
+TEST(ShardedMapTest, BorderOriginMatchesFlatOracle) {
+  MetroFixture m{4, 1, 7};
+  ShardedNetworkMap sharded{RegionAssignment::from_topology(m.topo)};
+  NetworkMap flat_map;
+  const sim::SimTime now = MetroFixture::epoch_time(0);
+  sharded.ingest_batch(m.batches[0], now);
+  for (const auto& r : m.batches[0]) flat_map.ingest(r, now);
+  const Ranker flat{flat_map};
 
-  // Fig. 4's node-id space (hosts + switches) mapped onto one region.
-  ShardedNetworkMap metro{
-      RegionAssignment{std::vector<core::RegionId>(32, core::RegionId{0}), core::RegionId{1}}};
-  const std::vector<ServerRank> with_metro = run_service(&metro);
-  const std::vector<ServerRank> flat = run_service(nullptr);
+  const std::vector<core::NodeId> servers = m.topo.edge_servers();
+  const auto view = sharded.view();
+  for (std::int32_t r = 0; r < view->region_count().value(); ++r) {
+    const std::vector<core::NodeId>& borders =
+        view->borders_of(core::RegionId{r});
+    ASSERT_FALSE(borders.empty()) << "region " << r;
+    for (const core::NodeId origin : {borders.front(), borders.back()}) {
+      for (const auto metric :
+           {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
+        const auto want = flat.rank(origin, servers, metric, now);
+        expect_ranks_identical(sharded.rank(origin, servers, metric, now),
+                               want, "border origin");
+        const auto best = sharded.pick(origin, servers, metric, now);
+        ASSERT_TRUE(best.has_value());
+        EXPECT_EQ(best->server, want.front().server);
+        EXPECT_EQ(best->delay_estimate, want.front().delay_estimate);
+      }
+    }
+  }
+}
 
-  EXPECT_GT(metro.reports_ingested(), 0);
-  expect_ranks_identical(with_metro, flat, "attach_metro");
+// A probe report carrying a forged INT device id (beyond every region's
+// provisioning table) lands its links in the summary map and makes the
+// report's endpoints borders. Decisions for those hosts must keep
+// working — and keep agreeing with the flat oracle fed the same report.
+TEST(ShardedMapTest, ForgedDeviceIdKeepsDecisionsWorking) {
+  MetroFixture m{4, 1, 7};
+  ShardedNetworkMap sharded{RegionAssignment::from_topology(m.topo)};
+  NetworkMap flat_map;
+  const sim::SimTime now = MetroFixture::epoch_time(0);
+  sharded.ingest_batch(m.batches[0], now);
+  for (const auto& r : m.batches[0]) flat_map.ingest(r, now);
+
+  telemetry::ProbeReport forged = m.batches[0].front();
+  ASSERT_FALSE(forged.entries.empty());
+  forged.entries.back().device = core::NodeId{5000000};
+  sharded.ingest(forged, now);
+  flat_map.ingest(forged, now);
+  EXPECT_EQ(sharded.rejected_entries(), 0);  // a valid id, just unprovisioned
+
+  const core::RegionId dst_region = sharded.region_of(forged.dst);
+  const auto view = sharded.view();
+  const std::vector<core::NodeId>& borders = view->borders_of(dst_region);
+  ASSERT_TRUE(std::binary_search(borders.begin(), borders.end(), forged.dst))
+      << "the forged link should make the report's dst a border";
+
+  const Ranker flat{flat_map};
+  const std::vector<core::NodeId> servers = m.topo.edge_servers();
+  for (const core::NodeId origin : {forged.dst, forged.src}) {
+    for (const auto metric :
+         {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
+      const auto want = flat.rank(origin, servers, metric, now);
+      expect_ranks_identical(sharded.rank(origin, servers, metric, now), want,
+                             "forged device id");
+      const auto best = sharded.pick(origin, servers, metric, now);
+      ASSERT_TRUE(best.has_value());
+      EXPECT_EQ(best->server, want.front().server);
+    }
+  }
 }
 
 }  // namespace

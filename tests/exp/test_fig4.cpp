@@ -193,8 +193,10 @@ TEST_F(ProbeRoutingFixture, OptimizedRoutesLearnTheRingLink) {
 
   // Every switch link now has a *measured* delay in the map (the default
   // estimate is exactly 10 ms; measured values include service time).
+  const auto view = service.view();
+  const core::NetworkMap& map = view->region_snapshot(core::RegionId{0}).map();
   for (const auto& [from, to] : network.switch_links()) {
-    EXPECT_GT(service.network_map().link_delay(from, to),
+    EXPECT_GT(map.link_delay(from, to),
               sim::SimDuration::milliseconds(10))
         << from << "->" << to;
   }

@@ -113,12 +113,17 @@ TEST_F(ForcedCongestionFixture, UnprobedRingLinkStaysUnknown) {
   const auto covered = network.probe_covered_links();
   EXPECT_FALSE(covered.contains({core::NodeId{10}, core::NodeId{19}}));
   EXPECT_FALSE(covered.contains({core::NodeId{19}, core::NodeId{10}}));
-  EXPECT_EQ(service->network_map().egress_port(core::NodeId{10}, core::NodeId{19}), -1);
+  const auto view = service->view();
+  EXPECT_EQ(view->region_snapshot(core::RegionId{0}).map().egress_port(
+                core::NodeId{10}, core::NodeId{19}),
+            -1);
 }
 
 TEST_F(ForcedCongestionFixture, MapTracksAllLinksDespiteCongestion) {
-  EXPECT_GE(service->network_map().known_link_count(), 30);
-  EXPECT_GT(service->network_map().reports_ingested(), 100);
+  const auto view = service->view();
+  EXPECT_GE(view->region_snapshot(core::RegionId{0}).map().known_link_count(),
+            30);
+  EXPECT_GT(service->map().reports_ingested(), 100);
 }
 
 /// System-level run with every component engaged.

@@ -1,23 +1,18 @@
-// Delta-Dijkstra equivalence property (ISSUE satellite): a persistent
-// Ranker whose path cache absorbs epoch changes incrementally must stay
-// field-exactly equal to a freshly constructed Ranker (full recompute)
-// after arbitrary randomized link-update sequences — metro telemetry
-// refreshes with congestion churn, and the fault-injection link-flap
-// driver on the Fig. 4 network. The delta counters must show the
-// incremental path actually ran (a test that silently full-rebuilds every
-// epoch proves nothing).
+// Incremental shortest paths across publishes: a long-lived
+// ShardedNetworkMap rebuilds only the regions whose map moved and keeps
+// every clean region's RankSnapshot — Dijkstra memos included — across
+// the publish. Its rankings must stay field-exactly equal to a map built
+// from scratch on the same reports (every region rebuilt, every memo
+// cold) after arbitrary randomized refresh rounds, and the reuse must
+// actually happen (a test that silently rebuilds every region proves
+// nothing).
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "intsched/core/network_map.hpp"
-#include "intsched/core/ranking.hpp"
-#include "intsched/core/scheduler_service.hpp"
-#include "intsched/exp/fig4.hpp"
+#include "intsched/core/sharded_map.hpp"
 #include "intsched/exp/metro.hpp"
-#include "intsched/net/fault.hpp"
 #include "intsched/net/topology_gen.hpp"
-#include "intsched/telemetry/probe_agent.hpp"
 
 namespace intsched::core {
 namespace {
@@ -39,222 +34,87 @@ void expect_ranks_identical(const std::vector<ServerRank>& got,
   }
 }
 
-/// Persistent-vs-fresh comparison over every (origin, metric) pair.
-void compare_all(const Ranker& persistent, const NetworkMap& map,
-                 const std::vector<core::NodeId>& origins,
-                 const std::vector<core::NodeId>& candidates,
-                 sim::SimTime now, const char* what) {
-  const Ranker fresh{map, persistent.config()};
-  for (const core::NodeId origin : origins) {
-    for (const auto metric :
-         {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
-      expect_ranks_identical(
-          persistent.rank(origin, candidates, metric, now),
-          fresh.rank(origin, candidates, metric, now), what);
-    }
-  }
-}
-
 struct MetroCase {
   exp::MetroTelemetryConfig telemetry{};
   std::int32_t rounds = 10;
+  /// Links refreshed per round (0: a sixth of the topology).
+  std::int64_t refresh_links = 0;
 };
 
-/// Shared driver: full sweep, then `rounds` randomized refresh batches;
-/// after every batch the persistent ranker must match a full recompute.
+/// Full sweep, then `rounds` randomized refresh rounds. After every round
+/// the persistent map (region snapshots reused while clean, memos warmed
+/// by the previous round's queries) must match a map rebuilt from every
+/// report so far.
 void run_metro_case(const MetroCase& mc) {
   net::MetroConfig cfg;
   cfg.pods = 3;
   const net::GenTopology topo = net::TopologyGen::ring_of_pods(cfg);
   ASSERT_TRUE(topo.validate().empty());
   exp::MetroTelemetryGen gen{topo, mc.telemetry};
+  const RegionAssignment regions = RegionAssignment::from_topology(topo);
 
-  NetworkMap map;
-  const Ranker persistent{map};
+  ShardedNetworkMap persistent{regions};
+  std::vector<std::pair<std::vector<telemetry::ProbeReport>, sim::SimTime>>
+      history;
   const std::vector<core::NodeId> origins = topo.hosts();
   const std::vector<core::NodeId> candidates = topo.edge_servers();
 
-  auto now = sim::SimTime::seconds(1);
-  for (const auto& r : gen.full_sweep()) map.ingest(r, now);
-  compare_all(persistent, map, origins, candidates, now, "after sweep");
+  const auto step = [&](std::vector<telemetry::ProbeReport> batch,
+                        sim::SimTime now, const char* what) {
+    persistent.ingest_batch(batch, now);
+    history.emplace_back(std::move(batch), now);
+    ShardedNetworkMap fresh{regions};
+    for (const auto& [b, t] : history) fresh.ingest_batch(b, t);
+    for (const core::NodeId origin : origins) {
+      for (const auto metric :
+           {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
+        expect_ranks_identical(persistent.rank(origin, candidates, metric, now),
+                               fresh.rank(origin, candidates, metric, now),
+                               what);
+      }
+    }
+  };
 
-  const auto refresh_count = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(topo.links.size()) / 6);
+  step(gen.full_sweep(), sim::SimTime::seconds(1), "after sweep");
+  const std::int64_t refresh =
+      mc.refresh_links > 0
+          ? mc.refresh_links
+          : std::max<std::int64_t>(
+                1, static_cast<std::int64_t>(topo.links.size()) / 6);
   for (std::int32_t e = 0; e < mc.rounds; ++e) {
-    now = sim::SimTime::seconds(2 + e);
-    for (const auto& r : gen.refresh(refresh_count)) map.ingest(r, now);
-    compare_all(persistent, map, origins, candidates, now, "after refresh");
+    step(gen.refresh(refresh), sim::SimTime::seconds(2 + e),
+         "after refresh");
   }
 
-  // The incremental path must have carried real weight: epoch changes
-  // absorbed by diffing, with origins' memos surviving.
-  EXPECT_GT(persistent.delta_refreshes(), 0);
-  EXPECT_GT(persistent.origins_kept(), 0);
+  // The incremental path carried real weight: some publishes kept some
+  // regions' snapshots (and the memos the queries above filled).
+  EXPECT_LT(persistent.region_snapshot_builds(),
+            persistent.view_publishes() *
+                static_cast<std::int64_t>(persistent.region_count().value()));
 }
 
 TEST(DeltaDijkstraProperty, MetroRefreshRoundsMatchFullRecompute) {
   // Zero delay wobble: refresh samples replay the converged EWMA values,
-  // so the delay graph holds still while the queue/congestion telemetry
-  // churns — the regime where every origin's Dijkstra memo must survive
-  // the epoch bumps (and the rankings must still track the fresh queue
-  // data, which is never cached).
+  // so delays hold still while the queue/congestion telemetry churns —
+  // the rankings must track the fresh queue data (never memoized) on
+  // reused and rebuilt regions alike.
   MetroCase mc;
   mc.telemetry.delay_wobble_frac = 0.0;
+  mc.refresh_links = 2;
   run_metro_case(mc);
 }
 
 TEST(DeltaDijkstraProperty, HeavyChurnStillMatchesFullRecompute) {
   // Aggressive wobble + certain churn: every refreshed link's delay
-  // estimate moves, so the invalidation rule must actually drop origins —
-  // and the results must still match a full recompute exactly.
+  // estimate moves, so touched regions must be rebuilt — and untouched
+  // ones reused — with results still equal to a full recompute.
   MetroCase mc;
   mc.telemetry.seed = 1234;
   mc.telemetry.delay_wobble_frac = 0.25;
   mc.telemetry.churn_chance = 1.0;
   mc.rounds = 8;
-
-  net::MetroConfig cfg;
-  cfg.pods = 3;
-  const net::GenTopology topo = net::TopologyGen::ring_of_pods(cfg);
-  exp::MetroTelemetryGen gen{topo, mc.telemetry};
-
-  NetworkMap map;
-  const Ranker persistent{map};
-  const std::vector<core::NodeId> origins = topo.hosts();
-  const std::vector<core::NodeId> candidates = topo.edge_servers();
-
-  auto now = sim::SimTime::seconds(1);
-  for (const auto& r : gen.full_sweep()) map.ingest(r, now);
-  compare_all(persistent, map, origins, candidates, now, "after sweep");
-  for (std::int32_t e = 0; e < mc.rounds; ++e) {
-    now = sim::SimTime::seconds(2 + e);
-    // One refreshed link per round: few enough changed edges for the
-    // delta path (not the full-rebuild bailout), but its heavy wobble
-    // moves measured estimates, so the invalidation rule must fire.
-    for (const auto& r : gen.refresh(1)) map.ingest(r, now);
-    compare_all(persistent, map, origins, candidates, now, "after churn");
-  }
-  EXPECT_GT(persistent.delta_refreshes(), 0);
-  EXPECT_GT(persistent.origins_dropped(), 0);
-}
-
-net::IntStackEntry entry(core::NodeId device, std::int32_t in_port,
-                         std::int32_t out_port,
-                         sim::SimDuration ingress_latency) {
-  net::IntStackEntry e;
-  e.device = device;
-  e.ingress_port = in_port;
-  e.egress_port = out_port;
-  e.ingress_link_latency = ingress_latency;
-  return e;
-}
-
-telemetry::ProbeReport report(core::NodeId src, core::NodeId dst,
-                              std::vector<net::IntStackEntry> entries,
-                              sim::SimDuration final_latency) {
-  telemetry::ProbeReport r;
-  r.src = src;
-  r.dst = dst;
-  r.entries = std::move(entries);
-  r.final_link_latency = final_latency;
-  return r;
-}
-
-// Surgical check of the invalidation rule on a diamond: hosts H0..H2
-// behind switches A(10), B(11), C(12); fabric A-B = A-C = 5 ms and
-// B-C = 8 ms. When B-C's estimate moves to 12 ms, origins H1/H2 (whose
-// shortest-path trees contain B-C as a tree edge) must be dropped, while
-// H0 — which routes B and C via A and for which the pricier B-C can
-// neither be a tree edge nor an improvement — must keep its memo. Both
-// outcomes must leave the persistent ranker equal to a full recompute.
-TEST(DeltaDijkstraProperty, PartialInvalidationKeepsUnaffectedOrigins) {
-  const auto ms = [](int v) { return sim::SimDuration::milliseconds(v); };
-  const auto at_ms = [](int v) {
-    return sim::SimTime::at(sim::SimDuration::milliseconds(v));
-  };
-  const auto unmeasured = sim::SimDuration::nanoseconds(-1);
-  NetworkMap map;
-  const auto learn_all = [&](sim::SimTime now, sim::SimDuration bc) {
-    // Ports: on each switch, 0 faces its host; 1/2 face the other two
-    // switches in id order.
-    map.ingest(report(core::NodeId{0}, core::NodeId{1}, {entry(core::NodeId{10}, 0, 1, unmeasured),
-                             entry(core::NodeId{11}, 1, 0, ms(5))}, ms(2)), now);
-    map.ingest(report(core::NodeId{1}, core::NodeId{0}, {entry(core::NodeId{11}, 0, 1, unmeasured),
-                             entry(core::NodeId{10}, 1, 0, ms(5))}, ms(2)), now);
-    map.ingest(report(core::NodeId{0}, core::NodeId{2}, {entry(core::NodeId{10}, 0, 2, unmeasured),
-                             entry(core::NodeId{12}, 1, 0, ms(5))}, ms(2)), now);
-    map.ingest(report(core::NodeId{2}, core::NodeId{0}, {entry(core::NodeId{12}, 0, 1, unmeasured),
-                             entry(core::NodeId{10}, 2, 0, ms(5))}, ms(2)), now);
-    map.ingest(report(core::NodeId{1}, core::NodeId{2}, {entry(core::NodeId{11}, 0, 2, unmeasured),
-                             entry(core::NodeId{12}, 2, 0, bc)}, ms(2)), now);
-    map.ingest(report(core::NodeId{2}, core::NodeId{1}, {entry(core::NodeId{12}, 0, 2, unmeasured),
-                             entry(core::NodeId{11}, 2, 0, bc)}, ms(2)), now);
-  };
-  learn_all(at_ms(0), ms(8));
-
-  const Ranker persistent{map};
-  const std::vector<core::NodeId> origins{core::NodeId{0}, core::NodeId{1}, core::NodeId{2}};
-  const std::vector<core::NodeId> candidates{core::NodeId{0}, core::NodeId{1}, core::NodeId{2}};
-  compare_all(persistent, map, origins, candidates, at_ms(1), "warmup");
-  EXPECT_EQ(persistent.full_rebuilds(), 1);
-
-  // B-C jumps to 24 ms; the EWMA (alpha 0.25) lands on 12 ms. Every
-  // other sample replays its converged estimate, so the changed edge set
-  // is exactly {B->C, C->B}.
-  learn_all(at_ms(10), ms(24));
-  compare_all(persistent, map, origins, candidates, at_ms(11), "after bump");
-
-  EXPECT_EQ(persistent.delta_refreshes(), 1);
-  EXPECT_EQ(persistent.full_rebuilds(), 1);
-  EXPECT_EQ(persistent.origins_kept(), 1);    // H0
-  EXPECT_EQ(persistent.origins_dropped(), 2)  // H1, H2
-      << "tree-edge change must invalidate exactly the affected origins";
-}
-
-// The fault-injection link-flap driver (tests/fault): probes traverse the
-// Fig. 4 network while armed link flaps cut and restore links mid-run.
-// The scheduler's long-lived Ranker sees the resulting delay-graph churn
-// through its delta path and must never diverge from a full recompute.
-TEST(DeltaDijkstraProperty, Fig4LinkFlapsMatchFullRecompute) {
-  sim::Simulator sim;
-  exp::Fig4Network network{sim, exp::Fig4Config{}};
-  std::vector<std::unique_ptr<transport::HostStack>> stacks;
-  for (net::Host* h : network.hosts()) {
-    stacks.push_back(std::make_unique<transport::HostStack>(*h));
-  }
-  SchedulerService service{*stacks[5], RankerConfig{}, NetworkMapConfig{}};
-  std::vector<std::unique_ptr<telemetry::ProbeAgent>> agents;
-  for (net::Host* h : network.hosts()) {
-    if (h->id() == network.scheduler_host().id()) continue;
-    agents.push_back(std::make_unique<telemetry::ProbeAgent>(
-        *h, network.scheduler_host().id()));
-    agents.back()->start();
-  }
-
-  net::FaultPlanConfig fault_cfg;
-  fault_cfg.seed = 42;
-  fault_cfg.link_flaps.push_back(net::LinkFlapSpec{
-      core::NodeId{0}, core::NodeId{8}, sim::SimTime::seconds(2), sim::SimTime::seconds(5)});
-  fault_cfg.link_flaps.push_back(net::LinkFlapSpec{
-      core::NodeId{4}, core::NodeId{10}, sim::SimTime::seconds(3), sim::SimTime::seconds(7)});
-  net::FaultPlan plan{fault_cfg};
-  plan.arm(network.topology());
-
-  const std::vector<core::NodeId> origins{core::NodeId{0}, core::NodeId{2}, core::NodeId{4}, core::NodeId{6}};
-  std::vector<core::NodeId> candidates;
-  for (const core::NodeId id : network.host_ids()) {
-    if (id != network.scheduler_host().id()) candidates.push_back(id);
-  }
-
-  for (int second = 1; second <= 9; ++second) {
-    sim.run_until(sim::SimTime::seconds(second));
-    compare_all(service.ranker(), service.network_map(), origins,
-                candidates, sim.now(), "flap step");
-  }
-  // The cache absorbed at least one epoch change by some path.
-  EXPECT_GT(service.ranker().delta_refreshes() +
-                service.ranker().full_rebuilds(),
-            0);
+  mc.refresh_links = 1;
+  run_metro_case(mc);
 }
 
 }  // namespace

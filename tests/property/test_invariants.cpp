@@ -16,6 +16,7 @@
 #include "intsched/telemetry/probe_agent.hpp"
 #include "intsched/transport/host_stack.hpp"
 #include "intsched/transport/tcp.hpp"
+#include "support/flat_ranker.hpp"
 
 namespace intsched {
 namespace {

@@ -4,10 +4,11 @@
 // reference ranking: every field of every ServerRank, in every position,
 // for every metric, queue statistic, staleness regime, and candidate
 // shape (reachable, unreachable, unknown-id, origin-as-candidate) — over
-// seeded metro topologies, on both the flat RankSnapshot path and the
+// seeded metro topologies, on both the flat (one-region) map and the
 // two-level sharded MetroView path. The oracle is the same build with
 // RankerConfig::compile_rank_plane = false, which routes every query
-// through rank_candidates / rank_paths_into untouched.
+// through the uncompiled rank_paths_into path; on the flat map both are
+// also held to the tests/support Algorithm 1 oracle.
 
 #include <cstring>
 #include <memory>
@@ -16,11 +17,11 @@
 
 #include <gtest/gtest.h>
 
-#include "intsched/core/concurrent_map.hpp"
 #include "intsched/core/ranking.hpp"
 #include "intsched/core/sharded_map.hpp"
 #include "intsched/exp/metro.hpp"
 #include "intsched/net/topology_gen.hpp"
+#include "support/flat_ranker.hpp"
 
 namespace intsched::core {
 namespace {
@@ -115,24 +116,33 @@ NetworkMapConfig map_config(const ConfigCase& c) {
   return cfg;
 }
 
-// Flat path: ConcurrentNetworkMap (snapshot mode) with planes on vs off.
+// Flat path: a one-region map with planes on vs off, and the flat oracle.
 TEST(RankPlaneProperty, FlatSnapshotMatchesLegacyByteExact) {
   MetroFixture m{3, 6};
   for (const ConfigCase& c : kCases) {
-    ConcurrentNetworkMap with_plane{map_config(c), ranker_config(c, true)};
-    ConcurrentNetworkMap legacy{map_config(c), ranker_config(c, false)};
+    ShardedNetworkMap with_plane{
+        RegionAssignment::single_region(),
+        ShardedMapConfig{.map = map_config(c), .ranker = ranker_config(c, true)}};
+    ShardedNetworkMap legacy{
+        RegionAssignment::single_region(),
+        ShardedMapConfig{.map = map_config(c), .ranker = ranker_config(c, false)}};
+    NetworkMap flat_map{map_config(c)};
+    const Ranker oracle{flat_map, ranker_config(c, false)};
     for (std::size_t e = 0; e < m.batches.size(); ++e) {
       const sim::SimTime now = MetroFixture::epoch_time(e);
       with_plane.ingest_batch(m.batches[e], now);
       legacy.ingest_batch(m.batches[e], now);
+      for (const auto& r : m.batches[e]) flat_map.ingest(r, now);
       for (const core::NodeId origin :
            {m.topo.hosts()[0], m.topo.hosts()[7], m.topo.hosts().back()}) {
         const auto candidates = m.candidates_with_edge_cases(origin);
         for (const auto metric :
              {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
+          const auto want = oracle.rank(origin, candidates, metric, now);
           expect_ranks_identical(
-              with_plane.rank(origin, candidates, metric, now),
-              legacy.rank(origin, candidates, metric, now), c.name);
+              with_plane.rank(origin, candidates, metric, now), want, c.name);
+          expect_ranks_identical(legacy.rank(origin, candidates, metric, now),
+                                 want, c.name);
         }
       }
     }

@@ -1,10 +1,10 @@
-// Property suites for the two hot-path data structures introduced by the
-// sweep-engine overhaul:
+// Property suites for the scheduler's two caches:
 //  - the NetworkMap's monotonic max-deque (window-max congestion queries)
 //    must answer exactly like a naive scan over every sample ever
 //    ingested, for randomized sequences including late stragglers;
-//  - the Ranker's epoch-invalidated path cache must never serve a ranking
-//    computed before the latest ingest.
+//  - SchedulerService's lazily published view (and the Dijkstra memo it
+//    carries) must never serve a ranking computed before the latest
+//    applied probe report.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,8 +15,10 @@
 #include <vector>
 
 #include "intsched/core/network_map.hpp"
-#include "intsched/core/ranking.hpp"
+#include "intsched/core/scheduler_service.hpp"
+#include "intsched/exp/fig4.hpp"
 #include "intsched/sim/rng.hpp"
+#include "support/flat_ranker.hpp"
 
 namespace intsched {
 namespace {
@@ -129,8 +131,11 @@ TEST(WindowMaxProperty, EmptyAndExpiredWindowsReadZero) {
 }
 
 // ---------------------------------------------------------------------
-// Epoch-invalidated path cache: cached rankings must be indistinguishable
-// from a cache-cold Ranker's, before and after every ingest.
+// Lazily published view: SchedulerService applies each probe report to
+// its map without publishing and publishes on the next read. Every
+// ranking must be indistinguishable from the flat oracle's over every
+// report applied so far, and reads with nothing new applied must reuse
+// the published view.
 
 std::string render_ranks(const std::vector<core::ServerRank>& ranks) {
   std::ostringstream out;
@@ -142,95 +147,106 @@ std::string render_ranks(const std::vector<core::ServerRank>& ranks) {
   return out.str();
 }
 
-/// A probe report that walks a two-switch chain src -> s1 -> s2 -> dst,
-/// teaching the map the chain topology with the given per-hop delays.
-telemetry::ProbeReport chain_report(core::NodeId src, core::NodeId s1,
-                                    core::NodeId s2, core::NodeId dst,
-                                    sim::SimDuration hop_delay,
-                                    std::int64_t max_q) {
-  telemetry::ProbeReport report;
-  report.src = src;
-  report.dst = dst;
-  net::IntStackEntry first;
-  first.device = s1;
-  first.ingress_port = 0;
-  first.egress_port = 1;
-  first.device_max_queue_pkts = max_q;
-  first.ingress_link_latency = hop_delay;
-  report.entries.push_back(first);
-  net::IntStackEntry second = first;
-  second.device = s2;
-  report.entries.push_back(second);
-  report.final_link_latency = hop_delay;
-  return report;
-}
+/// A scheduler on the Fig. 4 scheduler host fed hand-made probe packets
+/// (no probe agents run): a two-switch chain src -> s1 -> s2 -> scheduler
+/// per probe, so the test controls every report the map sees.
+struct LazyPublishFixture {
+  sim::Simulator sim;
+  exp::Fig4Network network{sim, exp::Fig4Config{}};
+  transport::HostStack stack{network.scheduler_host()};
+  core::SchedulerService service{stack, core::RankerConfig{},
+                                 core::NetworkMapConfig{}};
+  core::NetworkMap flat;
+
+  /// Delivers one probe to the service's collector and the same report
+  /// to the oracle's flat map.
+  void probe(core::NodeId src, core::NodeId s1, core::NodeId s2,
+             sim::SimDuration hop_delay, std::int64_t max_q) {
+    net::Packet p;
+    p.src = src;
+    p.dst = network.scheduler_host().id();
+    p.geneve = net::GeneveOption{};
+    p.geneve->type = net::kIntProbeOptionType;
+    net::IntStackEntry first;
+    first.device = s1;
+    first.ingress_port = 0;
+    first.egress_port = 1;
+    first.device_max_queue_pkts = max_q;
+    first.ingress_link_latency = hop_delay;
+    p.int_stack.push_back(first);
+    net::IntStackEntry second = first;
+    second.device = s2;
+    p.int_stack.push_back(second);
+    ASSERT_TRUE(service.collector().handle_packet(p));
+
+    telemetry::ProbeReport report;
+    report.src = p.src;
+    report.dst = p.dst;
+    report.entries = p.int_stack;
+    flat.ingest(report, stack.host().local_time());
+  }
+};
 
 TEST(PathCacheProperty, NeverServesPreIngestRankings) {
   sim::Rng rng{99};
-  core::NetworkMap map;
-  const core::Ranker cached{map};
-  const std::vector<core::NodeId> candidates{core::NodeId{20}, core::NodeId{21}};
+  LazyPublishFixture f;
+  const core::NodeId origin{30};
+  const std::vector<core::NodeId> servers{core::NodeId{31}, core::NodeId{32}};
+  for (const core::NodeId s : servers) f.service.register_edge_server(s);
 
-  sim::SimTime now = sim::SimTime::zero();
   for (int round = 0; round < 30; ++round) {
-    now += sim::SimDuration::milliseconds(rng.uniform_int(1, 50));
     // Mutate the map: fresh delays (EWMA moves) and queue registers on
-    // two chains reaching the two candidate servers.
+    // the chains reaching the two candidate servers and the origin.
     const auto delay =
         sim::SimDuration::microseconds(rng.uniform_int(500, 20'000));
-    map.ingest(chain_report(core::NodeId{10}, core::NodeId{11}, core::NodeId{12}, core::NodeId{20}, delay,
-                            rng.uniform_int(0, 32)),
-               now);
-    map.ingest(chain_report(core::NodeId{10}, core::NodeId{11}, core::NodeId{13}, core::NodeId{21}, delay * 2,
-                            rng.uniform_int(0, 32)),
-               now);
+    f.probe(servers[0], core::NodeId{40}, core::NodeId{41}, delay,
+            rng.uniform_int(0, 32));
+    f.probe(servers[1], core::NodeId{42}, core::NodeId{41}, delay * 2,
+            rng.uniform_int(0, 32));
+    f.probe(origin, core::NodeId{43}, core::NodeId{41}, delay / 2,
+            rng.uniform_int(0, 32));
 
-    // The cached ranker must answer exactly like a cache-cold one built
-    // on the same map — i.e. it must observe every ingest so far.
-    const core::Ranker cold{map};
+    // The next rank_for must observe every report applied so far.
+    const core::Ranker oracle{f.flat};
     for (const auto metric :
          {core::RankingMetric::kDelay, core::RankingMetric::kBandwidth}) {
-      ASSERT_EQ(render_ranks(cached.rank(core::NodeId{10}, candidates, metric, now)),
-                render_ranks(cold.rank(core::NodeId{10}, candidates, metric, now)))
+      ASSERT_EQ(render_ranks(f.service.rank_for(origin, metric)),
+                render_ranks(oracle.rank(origin, servers, metric,
+                                         f.stack.host().local_time())))
           << "round=" << round;
     }
-    // The cache tracked the map's epoch (it may not have needed a rebuild
-    // this round only if nothing was ingested — impossible here).
-    EXPECT_EQ(cached.path_cache_epoch(), core::Epoch{map.reports_ingested()});
+    EXPECT_EQ(f.service.view()->epoch(),
+              core::Epoch{f.service.map().reports_ingested()});
   }
-  // The cache actually cached: with two rank calls per round sharing one
-  // origin and epoch, at least half of the lookups were hits.
-  EXPECT_GT(cached.path_cache_hits(), 0);
-  EXPECT_GT(cached.path_cache_misses(), 0);
-  EXPECT_LT(cached.path_cache_misses(), cached.path_cache_hits() +
-                                            cached.path_cache_misses());
 }
 
 TEST(PathCacheProperty, CountersSeparateHitsFromRebuilds) {
-  core::NetworkMap map;
-  map.ingest(chain_report(core::NodeId{10}, core::NodeId{11}, core::NodeId{12}, core::NodeId{20}, sim::SimDuration::milliseconds(1), 0),
-             sim::SimTime::milliseconds(1));
-  const core::Ranker ranker{map};
-  const std::vector<core::NodeId> candidates{core::NodeId{20}};
-  const sim::SimTime t1 = sim::SimTime::milliseconds(2);
+  LazyPublishFixture f;
+  const core::NodeId origin{30};
+  f.service.register_edge_server(core::NodeId{31});
+  const std::int64_t base = f.service.map().view_publishes();
 
-  EXPECT_EQ(ranker.path_cache_epoch(), core::Epoch::none());
-  (void)ranker.rank(core::NodeId{10}, candidates, core::RankingMetric::kDelay, t1);
-  EXPECT_EQ(ranker.path_cache_misses(), 1);
-  EXPECT_EQ(ranker.path_cache_epoch(), core::Epoch{map.reports_ingested()});
+  // Applying reports publishes nothing by itself.
+  f.probe(core::NodeId{31}, core::NodeId{40}, core::NodeId{41},
+          sim::SimDuration::milliseconds(1), 0);
+  f.probe(origin, core::NodeId{43}, core::NodeId{41},
+          sim::SimDuration::milliseconds(1), 0);
+  EXPECT_EQ(f.service.map().view_publishes(), base);
 
-  // Same epoch, same origin: pure hit.
-  (void)ranker.rank(core::NodeId{10}, candidates, core::RankingMetric::kDelay, t1);
-  EXPECT_EQ(ranker.path_cache_misses(), 1);
-  EXPECT_EQ(ranker.path_cache_hits(), 1);
+  // First read publishes once; a read with nothing new reuses the view.
+  (void)f.service.rank_for(origin, core::RankingMetric::kDelay);
+  EXPECT_EQ(f.service.map().view_publishes(), base + 1);
+  const auto first = f.service.view();
+  (void)f.service.rank_for(origin, core::RankingMetric::kDelay);
+  EXPECT_EQ(f.service.view().get(), first.get());
+  EXPECT_EQ(f.service.map().view_publishes(), base + 1);
 
-  // New ingest bumps the epoch: the next rank must rebuild.
-  map.ingest(chain_report(core::NodeId{10}, core::NodeId{11}, core::NodeId{12}, core::NodeId{20}, sim::SimDuration::milliseconds(5), 0),
-             sim::SimTime::milliseconds(3));
-  (void)ranker.rank(core::NodeId{10}, candidates, core::RankingMetric::kDelay,
-                    sim::SimTime::milliseconds(4));
-  EXPECT_EQ(ranker.path_cache_misses(), 2);
-  EXPECT_EQ(ranker.path_cache_epoch(), core::Epoch{map.reports_ingested()});
+  // A new report makes the next read rebuild.
+  f.probe(core::NodeId{31}, core::NodeId{40}, core::NodeId{41},
+          sim::SimDuration::milliseconds(5), 0);
+  (void)f.service.rank_for(origin, core::RankingMetric::kDelay);
+  EXPECT_EQ(f.service.map().view_publishes(), base + 2);
+  EXPECT_NE(f.service.view().get(), first.get());
 }
 
 }  // namespace

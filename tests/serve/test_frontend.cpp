@@ -6,6 +6,7 @@
 // operator-new counter (the runtime check behind the hotpath-alloc lint).
 #include "intsched/serve/frontend.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -16,11 +17,11 @@
 
 #include <gtest/gtest.h>
 
-#include "intsched/core/concurrent_map.hpp"
 #include "intsched/core/sharded_map.hpp"
 #include "intsched/exp/metro.hpp"
 #include "intsched/net/topology_gen.hpp"
 #include "intsched/serve/wire.hpp"
+#include "support/flat_ranker.hpp"
 
 // -- global allocation counter ------------------------------------------
 // Counts every operator-new in the test binary. Single-threaded tests
@@ -46,10 +47,17 @@ void* operator new[](std::size_t n) {
   return p;
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: GCC's -Wmismatched-new-delete otherwise reports the free()
+// below, once inlined next to a `new`, as freeing memory from operator
+// new — which, replaced above, is malloc.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace intsched::serve {
 namespace {
@@ -167,6 +175,68 @@ TEST(ServeFrontendTest, AgreesWithDirectPickAndRankEveryEpoch) {
   EXPECT_EQ(ctx.malformed, 0);
   EXPECT_EQ(ctx.unknown_origin, 0);
   EXPECT_EQ(ctx.no_candidates, 0);
+}
+
+// Border-gateway origins through the wire: every region's border hosts
+// get kOk answers equal to the flat oracle, on the pick path (top-1
+// delay) and the top-k path — before and after a probe report with a
+// forged INT device id turns that report's destination host into a
+// border.
+TEST(ServeFrontendTest, BorderOriginsServeLikeTheFlatOracle) {
+  MetroFixture m{4, 1, 7};
+  core::ShardedNetworkMap map{core::RegionAssignment::from_topology(m.topo)};
+  core::NetworkMap flat_map;
+  const sim::SimTime now = MetroFixture::epoch_time(0);
+  map.ingest_batch(m.batches[0], now);
+  for (const auto& r : m.batches[0]) flat_map.ingest(r, now);
+  ServeFrontend frontend{map};
+  const std::vector<NodeId> servers = m.topo.edge_servers();
+  for (const NodeId s : servers) frontend.register_server(s);
+
+  ServeContext ctx;
+  std::uint64_t query = 0;
+  const auto expect_serves_like_oracle = [&](NodeId origin,
+                                             const char* what) {
+    const core::Ranker oracle{flat_map};
+    RankRequest req;
+    req.origin = origin;
+    for (const auto metric :
+         {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
+      const std::vector<ServerRank> want =
+          oracle.rank(origin, servers, metric, now);
+      for (const std::uint8_t k : {std::uint8_t{1}, std::uint8_t{8}}) {
+        req.query_id = ++query;
+        req.metric = metric;
+        req.max_results = k;
+        const RankResponse got = serve_one(frontend, ctx, req, now);
+        ASSERT_EQ(got.status, ServeStatus::kOk) << what;
+        ASSERT_EQ(got.entry_count, std::min<std::size_t>(k, want.size()))
+            << what;
+        for (std::size_t i = 0; i < got.entry_count; ++i) {
+          expect_entry_matches_rank(got.entries[i], want[i], what);
+        }
+      }
+    }
+  };
+
+  const auto view = map.view();
+  for (std::int32_t r = 0; r < view->region_count().value(); ++r) {
+    for (const NodeId border : view->borders_of(core::RegionId{r})) {
+      expect_serves_like_oracle(border, "border origin");
+    }
+  }
+
+  telemetry::ProbeReport forged = m.batches[0].front();
+  ASSERT_FALSE(forged.entries.empty());
+  forged.entries.back().device = NodeId{5000000};
+  map.ingest(forged, now);
+  flat_map.ingest(forged, now);
+  const std::vector<NodeId>& dst_borders =
+      map.view()->borders_of(map.region_of(forged.dst));
+  ASSERT_TRUE(std::binary_search(dst_borders.begin(), dst_borders.end(),
+                                 forged.dst));
+  expect_serves_like_oracle(forged.dst, "forged-entry destination");
+  EXPECT_EQ(ctx.malformed, 0);
 }
 
 TEST(ServeFrontendTest, ReServeIsByteIdentical) {

@@ -8,9 +8,10 @@ Outputs (written to --out-dir, committed at tools/bench/):
   BENCH_micro.json   merged google-benchmark JSON from bench/micro_core
                      (per-op ns for the event queue, window-max queries,
                      ranking, Dijkstra, switch pipeline, TCP) and
-                     bench/micro_concurrent (multi-threaded rank QPS in
-                     both concurrency modes, snapshot publish/batch
-                     cost); the "benchmarks" arrays are concatenated so
+                     bench/micro_concurrent (multi-threaded rank QPS over
+                     a one-region map's published view, publish/batch
+                     cost, plane vs legacy metro QPS); the "benchmarks"
+                     arrays are concatenated so
                      one baseline gates every micro binary.
   BENCH_suite.json   wall-clock seconds of the scaled Fig.-5 suite at
                      --jobs=1 and --jobs=N, plus a byte-identity check of
@@ -47,8 +48,10 @@ Modes:
                      Unless --skip-qps, also re-run bench/qps_serve at
                      the committed BENCH_qps.json's shape and gate the
                      serving path: the fixed-load trial must stay
-                     error-free and sustain the baseline's offered load
-                     (within --threshold), the decision-rate ceiling may
+                     error-free, leave at most --threshold of its
+                     window's arrivals backlogged (never issued), and
+                     sustain the baseline's offered load (within
+                     --threshold), the decision-rate ceiling may
                      not collapse (2x threshold: the ceiling is the
                      noisiest cross-machine number), and the closed-loop
                      p99 may not blow up past 4x the baseline.
@@ -251,6 +254,15 @@ def compare_qps(baseline: Dict, fresh: Dict,
         failures += 1
     lines.append(f"  {verdict:<9} fixed load: {achieved:.0f} / "
                  f"{offered:.0f} qps offered")
+    # An overloaded open-loop trial issues none of its window's arrivals
+    # (it spends the window draining the warmup's), so it shows as a
+    # backlog, not as errors: gate the unissued share of the window.
+    backlogged = fixed.get("backlogged", 0)
+    scheduled = fixed.get("completed", 0) + backlogged
+    if backlogged > threshold * scheduled:
+        lines.append(f"  BACKLOG   fixed trial never issued {backlogged} of "
+                     f"{scheduled} arrivals scheduled in its window")
+        failures += 1
     old_ceiling = baseline.get("ceiling_qps", 0.0)
     new_ceiling = fresh.get("ceiling_qps", 0.0)
     delta = ((new_ceiling - old_ceiling) / old_ceiling * 100.0
@@ -441,7 +453,14 @@ def run_self_test() -> int:
                  "ceiling": {"p99_ns": 12000.0},
                  "fixed": {"offered_qps": 100000.0,
                            "achieved_qps": 99000.0, "errors": 0,
+                           "completed": 99000, "backlogged": 1,
                            "p99_ns": 900000.0}}
+    serve_overloaded = {"ceiling_qps": 350000.0,
+                        "ceiling": {"p99_ns": 9000.0},
+                        "fixed": {"offered_qps": 100000.0,
+                                  "achieved_qps": 0.0, "errors": 0,
+                                  "completed": 0, "backlogged": 100000,
+                                  "p99_ns": 0.0}}
     serve_starved = {"ceiling_qps": 380000.0,
                    "ceiling": {"p99_ns": 9500.0},
                    "fixed": {"offered_qps": 100000.0,
@@ -496,6 +515,10 @@ def run_self_test() -> int:
          compare_qps(serve_base, serve_blowup, 0.25)[1] == 1),
         ("qps serve/decode errors fail",
          compare_qps(serve_base, serve_errors, 0.25)[1] == 1),
+        ("qps overloaded fixed trial (achieved 0, all backlogged) fails",
+         compare_qps(serve_base, serve_overloaded, 0.25)[1] == 2),
+        ("qps backlog gate holds even with a lax throughput threshold",
+         compare_qps(serve_base, serve_overloaded, 0.99)[1] >= 1),
     )
     failures = 0
     for name, ok in cases:
