@@ -30,7 +30,8 @@ double median_link_delay_error_ms(sim::SimTime max_skew,
   for (net::Host* h : network.hosts()) {
     stacks.push_back(std::make_unique<transport::HostStack>(*h));
   }
-  core::SchedulerService service{*stacks[5], core::RankerConfig{},
+  core::SchedulerService service{*stacks[5], network.topology(),
+                                 core::RankerConfig{},
                                  core::NetworkMapConfig{}};
   std::vector<std::unique_ptr<telemetry::ProbeAgent>> agents;
   for (net::Host* h : network.hosts()) {

@@ -25,7 +25,8 @@ double run_arm(bool compute_aware, std::uint64_t seed) {
   core::SchedulerConfig sched_cfg;
   sched_cfg.compute_aware = compute_aware;
   sched_cfg.load_penalty = sim::SimDuration::seconds(2);
-  core::SchedulerService service{*stacks[5], core::RankerConfig{},
+  core::SchedulerService service{*stacks[5], network.topology(),
+                                 core::RankerConfig{},
                                  core::NetworkMapConfig{}, sched_cfg};
   for (const core::NodeId id : network.host_ids()) {
     service.register_edge_server(id);

@@ -32,7 +32,8 @@ MapQuality measure_map(bool optimized) {
   for (net::Host* h : network.hosts()) {
     stacks.push_back(std::make_unique<transport::HostStack>(*h));
   }
-  core::SchedulerService service{*stacks[5], core::RankerConfig{},
+  core::SchedulerService service{*stacks[5], network.topology(),
+                                 core::RankerConfig{},
                                  core::NetworkMapConfig{}};
   for (const core::NodeId id : network.host_ids()) {
     service.register_edge_server(id);

@@ -2,11 +2,16 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "intsched/exp/experiment.hpp"
@@ -85,6 +90,14 @@ class LatencyHistogram {
   std::int64_t count_ = 0;
 };
 
+/// argv[0] without its directory (for usage lines and error prefixes).
+inline std::string_view program_name(int argc, char** argv) {
+  if (argc < 1 || argv[0] == nullptr) return "bench";
+  const std::string_view path = argv[0];
+  const std::size_t slash = path.rfind('/');
+  return slash == std::string_view::npos ? path : path.substr(slash + 1);
+}
+
 struct Options {
   /// --full: paper scale (200 tasks per run). Default is a scaled-down run
   /// so the whole bench suite finishes in a few minutes.
@@ -99,20 +112,107 @@ struct Options {
   int jobs = 0;
 };
 
-inline Options parse_options(int argc, char** argv) {
-  Options opts;
+// -- strict command lines ---------------------------------------------------
+//
+// Every bench rejects garbage flags the same way: an unknown flag or a
+// malformed value prints a reason and the usage line on stderr and exits
+// 2; --help (or -h) prints the usage line and exits 0. Nothing is
+// silently ignored, so a typo never reads as a run with default options.
+
+/// Whole-string number parse: "12x", "" and out-of-range values fail.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end && !text.empty();
+}
+
+/// One flag of a strict command line: a bare switch (`--full`) or a
+/// `--name=value` flag (the name includes the '='). `set` receives the
+/// text after the name and returns false when it is malformed.
+struct Flag {
+  std::string_view name;
+  std::function<bool(std::string_view)> set;
+};
+
+/// `set` for a bare switch.
+inline std::function<bool(std::string_view)> set_true(bool& dst) {
+  return [&dst](std::string_view) {
+    dst = true;
+    return true;
+  };
+}
+/// `set` for a numeric value no smaller than `min`.
+template <typename T>
+std::function<bool(std::string_view)> number_at_least(T& dst, T min) {
+  return [&dst, min](std::string_view v) {
+    return parse_number(v, dst) && dst >= min;
+  };
+}
+/// `set` for any numeric value of T's range.
+template <typename T>
+std::function<bool(std::string_view)> number(T& dst) {
+  return [&dst](std::string_view v) { return parse_number(v, dst); };
+}
+
+enum class ParseOutcome : std::uint8_t { kRun, kHelp, kError };
+
+/// Walks argv against `flags`: kHelp on --help/-h, kError (reason on
+/// stderr, prefixed with the program name) on an unknown flag or a value
+/// its `set` rejects, kRun otherwise.
+inline ParseOutcome parse_flags(int argc, char** argv,
+                                std::span<const Flag> flags) {
+  const std::string_view prog = program_name(argc, argv);
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--full") opts.full = true;
-    if (arg == "--csv") opts.csv = true;
-    if (arg.rfind("--seed=", 0) == 0) opts.seed = std::stoull(arg.substr(7));
-    if (arg.rfind("--reps=", 0) == 0) {
-      opts.reps = std::stoi(arg.substr(7));
+    const std::string_view arg = argv[i];
+    if (arg == "--help" || arg == "-h") return ParseOutcome::kHelp;
+    const auto flag =
+        std::find_if(flags.begin(), flags.end(), [arg](const Flag& f) {
+          return f.name.ends_with('=') ? arg.starts_with(f.name)
+                                       : arg == f.name;
+        });
+    if (flag == flags.end()) {
+      std::cerr << prog << ": unknown flag " << arg << "\n";
+      return ParseOutcome::kError;
     }
-    if (arg.rfind("--jobs=", 0) == 0) {
-      opts.jobs = std::stoi(arg.substr(7));
+    if (!flag->set(arg.substr(flag->name.size()))) {
+      std::cerr << prog << ": malformed value in " << arg << "\n";
+      return ParseOutcome::kError;
     }
   }
+  return ParseOutcome::kRun;
+}
+
+/// parse_flags plus the exit contract: returns only on kRun.
+inline void parse_flags_or_exit(int argc, char** argv,
+                                std::span<const Flag> flags,
+                                std::string_view usage) {
+  switch (parse_flags(argc, argv, flags)) {
+    case ParseOutcome::kHelp:
+      std::cout << usage;
+      std::exit(0);
+    case ParseOutcome::kError:
+      std::cerr << usage;
+      std::exit(2);
+    case ParseOutcome::kRun:
+      break;
+  }
+}
+
+/// The figure/ablation benches' command line (see Options).
+inline Options parse_options(int argc, char** argv) {
+  Options opts;
+  const Flag flags[] = {
+      {"--full", set_true(opts.full)},
+      {"--csv", set_true(opts.csv)},
+      {"--seed=", number(opts.seed)},
+      {"--reps=", number_at_least(opts.reps, std::int32_t{1})},
+      {"--jobs=", number_at_least(opts.jobs, 0)},
+  };
+  const std::string usage =
+      "usage: " + std::string{program_name(argc, argv)} +
+      " [--full] [--csv] [--seed=N] [--reps=N] [--jobs=N] [--help]\n";
+  parse_flags_or_exit(argc, argv, flags, usage);
   return opts;
 }
 

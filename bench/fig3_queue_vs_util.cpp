@@ -8,11 +8,14 @@
 //
 // Flags: --full   run 300 s per point (paper duration; default 60 s)
 //        --csv    emit a CSV block after the table
+// (fixed seed; any other flag exits 2 with the usage line, --help prints
+// it and exits 0)
 
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "intsched/exp/report.hpp"
 #include "intsched/net/topology.hpp"
 #include "intsched/p4/switch.hpp"
@@ -117,11 +120,13 @@ PointResult run_point(double utilization, sim::SimTime duration,
 int main(int argc, char** argv) {
   bool full = false;
   bool csv = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--full") full = true;
-    if (arg == "--csv") csv = true;
-  }
+  const benchtool::Flag flags[] = {
+      {"--full", benchtool::set_true(full)},
+      {"--csv", benchtool::set_true(csv)},
+  };
+  benchtool::parse_flags_or_exit(
+      argc, argv, flags,
+      "usage: fig3_queue_vs_util [--full] [--csv] [--help]\n");
   const sim::SimTime duration =
       full ? sim::SimTime::seconds(300) : sim::SimTime::seconds(60);
 

@@ -17,6 +17,8 @@
 // Default is a 2-pod smoke configuration (CI's metro-smoke step); --full
 // is the acceptance-scale run: 48 pods x (6 spines + 16 leaves) = 1056
 // switches, 768 hosts, 192 edge servers, one million tasks.
+// Unknown flags and malformed values exit 2 with the usage line; --help
+// prints it and exits 0.
 
 #include <algorithm>
 #include <chrono>
@@ -24,8 +26,10 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "intsched/core/sharded_map.hpp"
 #include "intsched/edge/workload.hpp"
 #include "intsched/exp/metro.hpp"
@@ -56,30 +60,40 @@ struct MetroOptions {
 };
 
 MetroOptions parse_metro_options(int argc, char** argv) {
+  using intsched::benchtool::Flag;
+  using intsched::benchtool::number;
+  using intsched::benchtool::number_at_least;
+  using intsched::benchtool::set_true;
   MetroOptions opts;
   bool tasks_set = false;
   bool pods_set = false;
   bool epochs_set = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--full") opts.full = true;
-    if (arg == "--csv") opts.csv = true;
-    if (arg.rfind("--seed=", 0) == 0) opts.seed = std::stoull(arg.substr(7));
-    if (arg.rfind("--pods=", 0) == 0) {
-      opts.pods = std::stoi(arg.substr(7));
-      pods_set = true;
-    }
-    if (arg.rfind("--tasks=", 0) == 0) {
-      opts.tasks = std::stoll(arg.substr(8));
-      tasks_set = true;
-    }
-    if (arg.rfind("--epochs=", 0) == 0) {
-      opts.epochs = std::stoi(arg.substr(9));
-      epochs_set = true;
-    }
-    if (arg.rfind("--jobs=", 0) == 0) opts.jobs = std::stoi(arg.substr(7));
-    if (arg.rfind("--json=", 0) == 0) opts.json_path = arg.substr(7);
-  }
+  const auto noting = [](auto set, bool& seen) {
+    return [set, &seen](std::string_view v) {
+      seen = true;
+      return set(v);
+    };
+  };
+  const Flag flags[] = {
+      {"--full", set_true(opts.full)},
+      {"--csv", set_true(opts.csv)},
+      {"--seed=", number(opts.seed)},
+      {"--pods=", noting(number_at_least(opts.pods, 1), pods_set)},
+      {"--tasks=",
+       noting(number_at_least(opts.tasks, std::int64_t{1}), tasks_set)},
+      {"--epochs=", noting(number_at_least(opts.epochs, 1), epochs_set)},
+      {"--jobs=", number_at_least(opts.jobs, 0)},
+      {"--json=",
+       [&opts](std::string_view v) {
+         opts.json_path = std::string{v};
+         return !v.empty();
+       }},
+  };
+  intsched::benchtool::parse_flags_or_exit(
+      argc, argv, flags,
+      "usage: metro_sweep [--full] [--csv] [--seed=N] [--pods=N] "
+      "[--tasks=N]\n"
+      "                   [--epochs=N] [--jobs=N] [--json=PATH] [--help]\n");
   if (opts.full) {
     if (!pods_set) opts.pods = 48;
     if (!tasks_set) opts.tasks = 1000000;
@@ -248,7 +262,8 @@ int main(int argc, char** argv) {
   std::vector<ArmResult> arms;
 
   {
-    ShardedNetworkMap flat{RegionAssignment::single_region()};
+    ShardedNetworkMap flat{RegionAssignment::single_region(
+        static_cast<std::int32_t>(topo.nodes.size()))};
     intsched::core::MetroView::RankScratch scratch;
     std::vector<ServerRank> ranked;
     arms.push_back(run_arm(

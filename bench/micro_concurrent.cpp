@@ -13,9 +13,9 @@
 //                      LatencyHistogram, ~12.5% resolution, bounded
 //                      memory — the same helper qps_serve reports with)
 // The BM_Snapshot* variants price the write side (apply + publish, one
-// report at a time vs one publish per burst); the BM_MetroRankQps* pair
-// A/Bs the compiled planes against the uncompiled reference on a sharded
-// metro. Scaling numbers are meaningless on a 1-core box — compare on
+// report at a time vs one publish per burst); BM_MetroRankQpsPlane
+// prices the compiled-plane read path on a sharded metro under live
+// ingest. Scaling numbers are meaningless on a 1-core box — compare on
 // real hardware / CI runners.
 //
 // The shared map + tick counter are the benchmark's point, not an
@@ -43,6 +43,8 @@ sim::SimTime at_ms(std::int64_t v) { return sim::SimTime::at(ms(v)); }
 
 constexpr core::NodeId kOrigin{0};
 constexpr int kServers = 4;
+/// Provisioned ids: the origin, servers 1..kServers, switches 11..10+kServers.
+constexpr std::int32_t kNodes = 11 + kServers;
 
 /// Probe origin -> switch (10+server) -> server, with a queue depth that
 /// varies per ingest so every report really moves the EWMAs and windows.
@@ -73,7 +75,7 @@ std::vector<core::NodeId> candidate_servers() {
 /// purpose (function-local static pointer): benchmark shared state must
 /// outlive google-benchmark's worker threads in every exit path.
 struct SharedState {
-  core::ShardedNetworkMap map{core::RegionAssignment::single_region()};
+  core::ShardedNetworkMap map{core::RegionAssignment::single_region(kNodes)};
   std::atomic<std::int64_t> tick{0};
 
   SharedState() {
@@ -184,9 +186,8 @@ BENCHMARK(BM_SnapshotBurst32Batched);
 // thread 0 keeps publishing 32-link refresh batches into a sharded metro
 // map (each publish swaps the MetroView and invalidates the per-origin
 // plane cache) while query threads rank the full edge-server set through
-// rank_topk_into. The Legacy variant runs the identical loop with
-// compile_rank_plane off, so the pair A/Bs the plane gather + top-k
-// kernel end-to-end, including recompile amortisation after each swap.
+// rank_topk_into, so the plane gather + top-k kernel is measured
+// end-to-end, including recompile amortisation after each swap.
 struct MetroQpsState {
   net::GenTopology topo;
   std::unique_ptr<core::ShardedNetworkMap> map;
@@ -195,15 +196,13 @@ struct MetroQpsState {
   std::vector<core::NodeId> origins;
   std::atomic<std::int64_t> tick{1};
 
-  explicit MetroQpsState(bool compile_plane) {
+  MetroQpsState() {
     net::MetroConfig cfg;
     cfg.seed = 42;
     cfg.pods = 4;
     topo = net::TopologyGen::ring_of_pods(cfg);
-    core::ShardedMapConfig map_cfg;
-    map_cfg.ranker.compile_rank_plane = compile_plane;
     map = std::make_unique<core::ShardedNetworkMap>(
-        core::RegionAssignment::from_topology(topo), map_cfg);
+        core::RegionAssignment::from_topology(topo));
     exp::MetroTelemetryGen gen{topo, exp::MetroTelemetryConfig{.seed = 42}};
     map->ingest_batch(gen.full_sweep(), at_ms(0));
     for (int i = 0; i < 64; ++i) batches.push_back(gen.refresh(32));
@@ -255,16 +254,10 @@ void run_metro_rank_qps(benchmark::State& state, MetroQpsState& shared) {
 }
 
 void BM_MetroRankQpsPlane(benchmark::State& state) {
-  static MetroQpsState* shared = new MetroQpsState{true};
+  static MetroQpsState* shared = new MetroQpsState;
   run_metro_rank_qps(state, *shared);
 }
 BENCHMARK(BM_MetroRankQpsPlane)->Threads(2)->Threads(3)->UseRealTime();
-
-void BM_MetroRankQpsPlaneLegacy(benchmark::State& state) {
-  static MetroQpsState* shared = new MetroQpsState{false};
-  run_metro_rank_qps(state, *shared);
-}
-BENCHMARK(BM_MetroRankQpsPlaneLegacy)->Threads(2)->Threads(3)->UseRealTime();
 
 }  // namespace
 

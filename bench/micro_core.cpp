@@ -200,7 +200,8 @@ void BM_RankSevenCandidates(benchmark::State& state) {
     if (h->id() == scheduler_id) scheduler_stack = stacks.back().get();
   }
   telemetry::IntCollector collector{network.scheduler_host()};
-  core::ShardedNetworkMap map{core::RegionAssignment::single_region()};
+  core::ShardedNetworkMap map{core::RegionAssignment::single_region(
+      static_cast<std::int32_t>(network.topology().node_count()))};
   scheduler_stack->bind_udp(net::kProbePort, [&](const net::Packet& p) {
     collector.handle_packet(p);
   });
@@ -225,18 +226,16 @@ void BM_RankSevenCandidates(benchmark::State& state) {
 }
 BENCHMARK(BM_RankSevenCandidates);
 
-// -- rank_plane: compiled plane kernels vs the uncompiled reference -------
+// -- rank_plane: the compiled plane kernels on a warmed metro -------------
 //
-// One warmed metro (8 pods, smoke scale) published by two sharded maps
-// that differ only in RankerConfig::compile_rank_plane; every benchmark
-// below cycles origins over the hosts so the per-origin memo is warm and
-// the number measured is steady-state per-query cost, not the fill.
-// Leaked on purpose (function-local static pointer): shared bench state
-// must outlive google-benchmark's teardown in every exit path.
+// One warmed metro (8 pods, smoke scale) published by a sharded map;
+// every benchmark below cycles origins over the hosts so the per-origin
+// memo is warm and the number measured is steady-state per-query cost,
+// not the fill. Leaked on purpose (function-local static pointer): shared
+// bench state must outlive google-benchmark's teardown in every exit path.
 struct MetroRankState {
   net::GenTopology topo;
-  std::unique_ptr<core::ShardedNetworkMap> compiled;
-  std::unique_ptr<core::ShardedNetworkMap> legacy;
+  std::unique_ptr<core::ShardedNetworkMap> map;
   std::vector<core::NodeId> servers;
   std::vector<core::NodeId> origins;
   sim::SimTime now = sim::SimTime::seconds(1);
@@ -246,17 +245,10 @@ struct MetroRankState {
     cfg.seed = 42;
     cfg.pods = 8;
     topo = net::TopologyGen::ring_of_pods(cfg);
-    const core::RegionAssignment regions =
-        core::RegionAssignment::from_topology(topo);
-    core::ShardedMapConfig on;
-    core::ShardedMapConfig off;
-    off.ranker.compile_rank_plane = false;
-    compiled = std::make_unique<core::ShardedNetworkMap>(regions, on);
-    legacy = std::make_unique<core::ShardedNetworkMap>(regions, off);
+    map = std::make_unique<core::ShardedNetworkMap>(
+        core::RegionAssignment::from_topology(topo));
     exp::MetroTelemetryGen gen{topo, exp::MetroTelemetryConfig{.seed = 42}};
-    const auto sweep = gen.full_sweep();
-    compiled->ingest_batch(sweep, now);
-    legacy->ingest_batch(sweep, now);
+    map->ingest_batch(gen.full_sweep(), now);
     servers = topo.edge_servers();
     origins = topo.hosts();
   }
@@ -267,10 +259,9 @@ MetroRankState& metro_rank_state() {
   return *state;
 }
 
-void run_metro_rank(benchmark::State& state, core::ShardedNetworkMap& map,
-                    std::size_t top_k) {
+void run_metro_rank(benchmark::State& state, std::size_t top_k) {
   MetroRankState& s = metro_rank_state();
-  const std::shared_ptr<const core::MetroView> view = map.view();
+  const std::shared_ptr<const core::MetroView> view = s.map->view();
   core::MetroView::RankScratch scratch;
   std::vector<core::ServerRank> out;
   std::size_t q = 0;
@@ -287,28 +278,21 @@ void run_metro_rank(benchmark::State& state, core::ShardedNetworkMap& map,
 
 /// Full ranking of every edge server from a compiled plane.
 void BM_RankPlaneMetroFull(benchmark::State& state) {
-  run_metro_rank(state, *metro_rank_state().compiled,
-                 metro_rank_state().servers.size());
+  run_metro_rank(state, metro_rank_state().servers.size());
 }
 BENCHMARK(BM_RankPlaneMetroFull);
-
-/// Same query through the uncompiled reference path (the A/B baseline).
-void BM_RankPlaneMetroFullLegacy(benchmark::State& state) {
-  run_metro_rank(state, *metro_rank_state().legacy,
-                 metro_rank_state().servers.size());
-}
-BENCHMARK(BM_RankPlaneMetroFullLegacy);
 
 /// Top-8 partial selection from the compiled plane — the serve-frontend
 /// multi-result shape (max_results << candidate count).
 void BM_RankPlaneMetroTop8(benchmark::State& state) {
-  run_metro_rank(state, *metro_rank_state().compiled, 8);
+  run_metro_rank(state, 8);
 }
 BENCHMARK(BM_RankPlaneMetroTop8);
 
-void run_metro_pick(benchmark::State& state, core::ShardedNetworkMap& map) {
+/// Region-pruned best-server pick over the plane's branchless argmin.
+void BM_PickPlaneMetro(benchmark::State& state) {
   MetroRankState& s = metro_rank_state();
-  const std::shared_ptr<const core::MetroView> view = map.view();
+  const std::shared_ptr<const core::MetroView> view = s.map->view();
   core::MetroView::RankScratch scratch;
   std::size_t q = 0;
   for (auto _ : state) {
@@ -320,18 +304,7 @@ void run_metro_pick(benchmark::State& state, core::ShardedNetworkMap& map) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-
-/// Region-pruned best-server pick over the plane's branchless argmin.
-void BM_PickPlaneMetro(benchmark::State& state) {
-  run_metro_pick(state, *metro_rank_state().compiled);
-}
 BENCHMARK(BM_PickPlaneMetro);
-
-/// Same pick through the uncompiled per-group sort.
-void BM_PickPlaneMetroLegacy(benchmark::State& state) {
-  run_metro_pick(state, *metro_rank_state().legacy);
-}
-BENCHMARK(BM_PickPlaneMetroLegacy);
 
 /// End-to-end simulated TCP throughput: wall time per simulated megabyte.
 void BM_TcpTransferPerMB(benchmark::State& state) {

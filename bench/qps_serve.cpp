@@ -39,7 +39,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -83,90 +82,51 @@ struct QpsOptions {
   std::int32_t candidates = 0;
   std::int32_t max_results = 1;
   bool ingest = false;
-  /// Disable the compiled rank planes (A/B the legacy scoring path).
-  bool no_plane = false;
   /// Rebuild-executor width for snapshot publishes (0 = auto).
   int jobs = 0;
   std::string json_path;
 };
 
 constexpr const char* kUsage =
-    "usage: qps_serve [--full] [--find-max] [--ingest] [--no-plane]\n"
+    "usage: qps_serve [--full] [--find-max] [--ingest]\n"
     "                 [--seed=N] [--pods=N] [--threads=N] [--seconds=S]\n"
     "                 [--warmup=S] [--offered=QPS] [--slo-p99-us=US]\n"
     "                 [--candidates=N] [--max-results=N] [--jobs=N]\n"
     "                 [--json=PATH] [--help]\n";
 
-/// Whole-string number parse: "12x", "" and out-of-range values fail.
-template <typename T>
-bool parse_number(std::string_view text, T& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc{} && ptr == end && !text.empty();
-}
-
-enum class ParseOutcome : std::uint8_t { kRun, kHelp, kError };
-
-ParseOutcome parse_qps_options(int argc, char** argv, QpsOptions& opts) {
-  const auto number = [](auto& dst) {
-    return [&dst](std::string_view v) { return parse_number(v, dst); };
-  };
-  const auto non_negative = [](std::int32_t& dst) {
-    return [&dst](std::string_view v) {
-      return parse_number(v, dst) && dst >= 0;
-    };
-  };
-  struct ValueFlag {
-    std::string_view name;  ///< including the trailing '='
-    std::function<bool(std::string_view)> set;
-  };
-  const ValueFlag value_flags[] = {
+/// Parses the command line under the benches' strict flag contract
+/// (bench_common.hpp): returns only when the bench should run.
+QpsOptions parse_qps_options(int argc, char** argv) {
+  using benchtool::number;
+  using benchtool::number_at_least;
+  using benchtool::set_true;
+  QpsOptions opts;
+  const benchtool::Flag flags[] = {
+      {"--full", set_true(opts.full)},
+      {"--find-max", set_true(opts.find_max)},
+      {"--ingest", set_true(opts.ingest)},
       {"--seed=", number(opts.seed)},
       {"--pods=", number(opts.pods)},
-      {"--threads=", non_negative(opts.threads)},
+      {"--threads=", number_at_least(opts.threads, 0)},
       {"--seconds=", number(opts.seconds)},
       {"--warmup=", number(opts.warmup)},
       {"--offered=", number(opts.offered)},
       {"--slo-p99-us=", number(opts.slo_p99_us)},
-      {"--candidates=", non_negative(opts.candidates)},
+      {"--candidates=", number_at_least(opts.candidates, 0)},
       {"--max-results=", number(opts.max_results)},
-      {"--jobs=", non_negative(opts.jobs)},
+      {"--jobs=", number_at_least(opts.jobs, 0)},
       {"--json=",
-       [&](std::string_view v) {
+       [&opts](std::string_view v) {
          opts.json_path = std::string{v};
          return !v.empty();
        }},
   };
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help" || arg == "-h") return ParseOutcome::kHelp;
-    if (arg == "--full") {
-      opts.full = true;
-    } else if (arg == "--find-max") {
-      opts.find_max = true;
-    } else if (arg == "--ingest") {
-      opts.ingest = true;
-    } else if (arg == "--no-plane") {
-      opts.no_plane = true;
-    } else {
-      const auto flag = std::find_if(
-          std::begin(value_flags), std::end(value_flags),
-          [arg](const ValueFlag& f) { return arg.starts_with(f.name); });
-      if (flag == std::end(value_flags)) {
-        std::cerr << "qps_serve: unknown flag " << arg << "\n";
-        return ParseOutcome::kError;
-      }
-      if (!flag->set(arg.substr(flag->name.size()))) {
-        std::cerr << "qps_serve: malformed value in " << arg << "\n";
-        return ParseOutcome::kError;
-      }
-    }
-  }
+  benchtool::parse_flags_or_exit(argc, argv, flags, kUsage);
   if (opts.full && opts.pods == 4) opts.pods = 48;
   if (opts.threads <= 0) {
     opts.threads = std::max(1, exp::resolve_jobs(0) - 1);
   }
-  return ParseOutcome::kRun;
+  return opts;
 }
 
 net::MetroConfig make_metro_config(const QpsOptions& opts) {
@@ -448,17 +408,7 @@ void write_trial_json(std::ostream& os, const char* key,
 }  // namespace
 
 int main(int argc, char** argv) {
-  QpsOptions opts;
-  switch (parse_qps_options(argc, argv, opts)) {
-    case ParseOutcome::kHelp:
-      std::cout << kUsage;
-      return 0;
-    case ParseOutcome::kError:
-      std::cerr << kUsage;
-      return 2;
-    case ParseOutcome::kRun:
-      break;
-  }
+  const QpsOptions opts = parse_qps_options(argc, argv);
   if (opts.pods <= 0 || opts.seconds <= 0.0 || opts.warmup < 0.0 ||
       opts.offered <= 0.0) {
     std::cerr << "qps_serve: --pods/--seconds/--offered must be positive\n";
@@ -491,7 +441,6 @@ int main(int argc, char** argv) {
                                    exp::MetroTelemetryConfig{.seed = opts.seed}};
   core::ShardedMapConfig map_cfg;
   map_cfg.rebuild_executor = exp::make_parallel_for(opts.jobs);
-  map_cfg.ranker.compile_rank_plane = !opts.no_plane;
   core::ShardedNetworkMap map{core::RegionAssignment::from_topology(topo),
                               map_cfg};
   map.ingest_batch(telemetry.full_sweep(), at_ms(1000));
@@ -588,8 +537,6 @@ int main(int argc, char** argv) {
     json << "  \"seconds\": " << opts.seconds << ",\n";
     json << "  \"seed\": " << opts.seed << ",\n";
     json << "  \"ingest\": " << (opts.ingest ? "true" : "false") << ",\n";
-    json << "  \"rank_plane\": " << (opts.no_plane ? "false" : "true")
-         << ",\n";
     json << "  \"slo_p99_us\": " << opts.slo_p99_us << ",\n";
     json << "  \"ceiling_qps\": " << ceiling.achieved_qps << ",\n";
     write_trial_json(json, "ceiling", ceiling, false);

@@ -52,7 +52,8 @@ struct Deployment {
           std::make_unique<transport::IperfUdpSink>(*stacks.back()));
     }
     scheduler = std::make_unique<core::SchedulerService>(
-        *stacks[5], core::RankerConfig{}, core::NetworkMapConfig{});
+        *stacks[5], network.topology(),
+        core::RankerConfig{}, core::NetworkMapConfig{});
     for (const core::NodeId id : network.host_ids()) {
       scheduler->register_edge_server(id);
       servers.push_back(std::make_unique<edge::EdgeServer>(

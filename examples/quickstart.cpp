@@ -41,7 +41,8 @@ int main() {
   for (net::Host* h : network.hosts()) {
     stacks.push_back(std::make_unique<transport::HostStack>(*h));
   }
-  core::SchedulerService scheduler{*stacks[5], core::RankerConfig{},
+  core::SchedulerService scheduler{*stacks[5], network.topology(),
+                                   core::RankerConfig{},
                                    core::NetworkMapConfig{}};
   for (const core::NodeId id : network.host_ids()) {
     scheduler.register_edge_server(id);

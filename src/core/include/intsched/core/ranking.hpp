@@ -1,8 +1,8 @@
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -93,11 +93,6 @@ struct RankerConfig {
   sim::SimDuration k_factor = sim::SimDuration::millis(20);
   QueueStatistic queue_statistic = QueueStatistic::kMaximum;
   QueueToUtilization queue_to_utilization{};
-  /// Compile published snapshots' per-origin path memos into RankPlanes
-  /// (flat CSR arenas scored by the fused kernel — DESIGN.md §15). Off
-  /// switches every query to the uncompiled reference path; the plane /
-  /// legacy equivalence property suite runs both and byte-compares.
-  bool compile_rank_plane = true;
 };
 
 /// One calibration observation: a queue occupancy and the end-to-end
@@ -115,81 +110,9 @@ struct KCalibrationSample {
 [[nodiscard]] sim::SimDuration estimate_k_factor(
     const std::vector<KCalibrationSample>& samples);
 
-// -- pure ranking core (no hidden state) ------------------------------------
-//
-// Every input is explicit: the map, the config, and the resolved
-// candidate paths. MetroView's uncompiled reference path and the flat
-// Algorithm 1 oracle in tests/support both call these, and the compiled
-// plane kernels below replay the same arithmetic, so every path produces
-// identical ServerRank vectors by construction rather than by parallel
-// maintenance.
-//
-// The estimators are templates over a map-like type so the two-level
-// path can substitute a hierarchical lookup (region shard + summary map,
-// see sharded_map.hpp) while running the *same* arithmetic in the same
-// order — the flat-vs-sharded equivalence property tests depend on
-// bit-identical doubles, not just agreement in spirit. A MapLike
-// provides NetworkMap's query surface: link_delay, device_max_queue,
-// device_avg_queue, device_hop_latency, link_max_queue, path_stale, and
-// config().
-
-/// Algorithm 1 for a single path: sum of link-delay estimates plus
-/// k * maxQueue (per cfg.queue_statistic) for every intermediate device.
-template <typename MapLike>
-[[nodiscard]] sim::SimDuration estimate_path_delay(
-    const MapLike& map, const RankerConfig& cfg,
-    const std::vector<core::NodeId>& path, sim::SimTime now) {
-  assert(path.size() >= 2);
-  sim::SimDuration total_link_delay = sim::SimDuration::zero();
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    total_link_delay += map.link_delay(path[i], path[i + 1]);
-  }
-  // Hops are the intermediate devices (switches) on the path.
-  sim::SimDuration total_hop_delay = sim::SimDuration::zero();
-  for (std::size_t i = 1; i + 1 < path.size(); ++i) {
-    switch (cfg.queue_statistic) {
-      case QueueStatistic::kMaximum:
-        total_hop_delay += cfg.k_factor * map.device_max_queue(path[i], now);
-        break;
-      case QueueStatistic::kAverage:
-        total_hop_delay +=
-            sim::SimDuration::nanos(static_cast<std::int64_t>(
-                static_cast<double>(cfg.k_factor.ns()) *
-                map.device_avg_queue(path[i], now)));
-        break;
-      case QueueStatistic::kMeasuredHopLatency:
-        total_hop_delay += map.device_hop_latency(path[i], now);
-        break;
-    }
-  }
-  return total_link_delay + total_hop_delay;
-}
-
-/// §III-D: min over links of capacity * (1 - utilization(maxQueue)).
-template <typename MapLike>
-[[nodiscard]] sim::DataRate estimate_path_bandwidth(
-    const MapLike& map, const RankerConfig& cfg,
-    const std::vector<core::NodeId>& path, sim::SimTime now) {
-  assert(path.size() >= 2);
-  // The nominal capacity is invariant across the loop — hoist the
-  // config chase out of the per-link body.
-  const double nominal = map.config().nominal_capacity.bps();
-  double min_bps = nominal;
-  // The first link is the origin host's own uplink; hosts are not
-  // pps-bound, so per-link availability is charged from the first switch
-  // onward (each directed link's headroom is its upstream device's egress).
-  for (std::size_t i = 1; i + 1 < path.size(); ++i) {
-    const std::int64_t q = map.link_max_queue(path[i], path[i + 1], now);
-    const double util = cfg.queue_to_utilization.utilization(q);
-    const double avail = nominal * (1.0 - util);
-    min_bps = std::min(min_bps, avail);
-  }
-  return sim::DataRate::bits_per_second(min_bps);
-}
-
-/// One candidate with its already-resolved path: what rank_paths_into
-/// scores.
-/// An empty path (or any with fewer than two nodes) means unreachable.
+/// One candidate with its already-resolved path: what a RankPlane row
+/// is compiled from. An empty path (or any with fewer than two nodes)
+/// means unreachable.
 struct CandidatePath {
   core::NodeId server = core::kInvalidNode;
   std::vector<core::NodeId> path{};
@@ -197,84 +120,28 @@ struct CandidatePath {
   sim::SimDuration baseline_delay = sim::SimDuration::max();
 };
 
-/// Scores and sorts pre-resolved candidate paths into `out` (cleared
-/// first), best first (ascending delay / descending bandwidth, server id
-/// as the deterministic tie-break). Unreachable candidates rank last.
-/// This is the single scoring + ordering implementation behind every
-/// ranking entry point; the pointer+count surface (rather than a vector)
-/// lets the serving path score a reused scratch prefix, and `out`
-/// retains its capacity across calls so a warmed-up caller allocates
-/// nothing (DESIGN.md §13).
-template <typename MapLike>
-INTSCHED_HOTPATH void rank_paths_into(const MapLike& map,
-                                      const RankerConfig& cfg,
-                                      const CandidatePath* candidates,
-                                      std::size_t count, RankingMetric metric,
-                                      sim::SimTime now,
-                                      std::vector<ServerRank>& out) {
-  // Fill by index into out's own storage: clear + resize reuses the
-  // retained capacity (value-initialized entries, so defaulted fields
-  // need no per-entry reset), and the reserve makes the no-reallocation
-  // guarantee explicit for warmed-up callers — there is no ServerRank
-  // staging copy per candidate.
-  out.clear();
-  out.reserve(count);
-  out.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const CandidatePath& c = candidates[i];
-    ServerRank& r = out[i];
-    r.server = c.server;
-    if (c.path.size() < 2) {
-      r.delay_estimate = sim::SimDuration::max();
-      r.bandwidth_estimate = sim::DataRate::bits_per_second(0.0);
-      r.baseline_delay = sim::SimDuration::max();
-    } else {
-      r.delay_estimate = estimate_path_delay(map, cfg, c.path, now);
-      r.bandwidth_estimate = estimate_path_bandwidth(map, cfg, c.path, now);
-      r.baseline_delay = c.baseline_delay;
-      r.stale = map.path_stale(c.path, now);
-    }
-  }
-
-  const auto by_delay = [](const ServerRank& a, const ServerRank& b) {
-    if (a.delay_estimate != b.delay_estimate) {
-      return a.delay_estimate < b.delay_estimate;
-    }
-    return a.server < b.server;
-  };
-  const auto by_bandwidth = [](const ServerRank& a, const ServerRank& b) {
-    if (a.bandwidth_estimate != b.bandwidth_estimate) {
-      return a.bandwidth_estimate > b.bandwidth_estimate;
-    }
-    return a.server < b.server;
-  };
-  if (metric == RankingMetric::kDelay) {
-    std::sort(out.begin(), out.end(), by_delay);
-  } else {
-    std::sort(out.begin(), out.end(), by_bandwidth);
-  }
-}
-
 // -- compiled rank planes (DESIGN.md §15) -----------------------------------
 //
 // A RankPlane "compiles" one origin's candidate paths — frozen for the
 // lifetime of the snapshot that owns them — into a flat CSR arena: one
-// row per candidate server holding the precomputed static link-delay sum
+// row per node of the view holding the precomputed static link-delay sum
 // and the path's device/link index spans into two deduplicated tables.
 // Per-query work then collapses to one queue-window gather per *distinct*
 // device (epoch-stamped marks, no per-query clearing) plus a fused
 // structure-of-arrays scoring loop over the rows; no path vector is ever
-// re-walked and no link-delay sum recomputed on the hot path.
+// re-walked and no link-delay sum recomputed on the hot path. This is the
+// only ranking kernel of the tree; the flat Algorithm 1 oracle in
+// tests/support scores uncompiled paths and is what it is held to.
 //
 // Determinism contract: for every (candidates, metric, statistic, now)
-// the kernels below produce ServerRank output byte-identical to
-// rank_paths_into over the paths the plane was compiled from. The
-// argument, per field:
+// the kernels below produce ServerRank output byte-identical to the flat
+// oracle's per-path scoring of the paths the plane was compiled from.
+// The argument, per field:
 //  * delay — the per-hop terms are int64 nanosecond values; summing the
 //    gathered per-device terms in span (= path) order runs the same
-//    additions in the same order as estimate_path_delay, and kAverage's
-//    per-hop double->int64 rounding happens inside the gathered term
-//    exactly as it does per hop in the estimator;
+//    additions in the same order as the per-path estimator, and
+//    kAverage's per-hop double->int64 rounding happens inside the
+//    gathered term exactly as it does per hop there;
 //  * bandwidth — min over per-link availabilities of doubles computed by
 //    the same expression; min is order-insensitive and duplicate links
 //    contribute the same double twice;
@@ -282,19 +149,22 @@ INTSCHED_HOTPATH void rank_paths_into(const MapLike& map,
 //    a total order, so a top-k partial sort's prefix is byte-identical
 //    to the full sort's prefix, and the k=1 argmin is its first element.
 
-struct RankPlane {
-  /// row_of sentinel: node has no compiled row.
-  static constexpr std::uint32_t kNoRow = 0xffffffffu;
+/// Dense node-index -> row table shared by every plane of one view: each
+/// plane compiles one row per view node in the same node order, so row r
+/// of every plane belongs to the same node. An entry at or past a plane's
+/// row count — the view's "no row" marker, or any entry against an
+/// origin's empty plane — reads as absent.
+using RowIndex = std::span<const std::uint32_t>;
 
+struct RankPlane {
   struct Row {
-    core::NodeId server = core::kInvalidNode;
     /// Sum of the path's link-delay estimates, frozen at build time (the
     /// delay graph never changes within a snapshot).
     sim::SimDuration static_delay = sim::SimDuration::zero();
     /// Pure Dijkstra distance (CandidatePath::baseline_delay).
     sim::SimDuration baseline_delay = sim::SimDuration::max();
     /// False = unreachable (path had fewer than two nodes): ranked last
-    /// with delay = max / bandwidth = 0, exactly as rank_paths_into.
+    /// with delay = max / bandwidth = 0.
     bool reachable = false;
     /// [begin, end) span into dev_ix: intermediate devices, path order.
     std::uint32_t dev_begin = 0;
@@ -306,12 +176,12 @@ struct RankPlane {
     std::uint32_t link_end = 0;
   };
 
-  /// Resolved telemetry handle for one deduplicated device: the owning
-  /// map (flat map, or the device's region map under MetroView) plus the
-  /// series matching the compiling config's queue statistic, resolved
-  /// once so the per-query gather is pointer-direct — no region routing,
-  /// no hash find. Valid exactly as long as the frozen snapshot the
-  /// plane was compiled from (the plane and the maps share an owner).
+  /// Resolved telemetry handle for one deduplicated device: the device's
+  /// owning region map plus the series matching the compiling config's
+  /// queue statistic, resolved once so the per-query gather is
+  /// pointer-direct — no region routing, no hash find. Valid exactly as
+  /// long as the frozen snapshot the plane was compiled from (the plane
+  /// and the maps share an owner).
   struct DevRef {
     const NetworkMap* map = nullptr;
     const NetworkMap::QueueSeries* series = nullptr;
@@ -328,6 +198,8 @@ struct RankPlane {
     const NetworkMap::DelayEstimate* rev = nullptr;
   };
 
+  /// One per view node, in RowIndex order; empty for an origin the view
+  /// cannot route from (every candidate then ranks unreachable).
   std::vector<Row> rows;
   std::vector<std::uint32_t> dev_ix;   ///< indices into devices
   std::vector<std::uint32_t> link_ix;  ///< indices into links
@@ -335,16 +207,12 @@ struct RankPlane {
   std::vector<LinkKey> links;          ///< deduplicated directed links
   std::vector<DevRef> dev_refs;        ///< parallel to devices
   std::vector<LinkRef> link_refs;      ///< parallel to links
-  /// Dense node-index -> row lookup (kNoRow where absent).
-  std::vector<std::uint32_t> row_of;
-  /// False until sealed, or when the node-id space is too sparse for the
-  /// dense lookup; callers fall back to the uncompiled reference path.
-  bool enabled = false;
 
-  [[nodiscard]] const Row* row_for(core::NodeId n) const {
-    if (!n.valid() || n.index() >= row_of.size()) return nullptr;
-    const std::uint32_t r = row_of[n.index()];
-    return r == kNoRow ? nullptr : &rows[r];
+  /// Row of node `n` under the view's shared index; nullptr when absent.
+  [[nodiscard]] const Row* row_for(RowIndex index, core::NodeId n) const {
+    if (!n.valid() || n.index() >= index.size()) return nullptr;
+    const std::uint32_t r = index[n.index()];
+    return r < rows.size() ? &rows[r] : nullptr;
   }
 };
 
@@ -359,19 +227,17 @@ class RankPlaneBuilder {
   explicit RankPlaneBuilder(QueueStatistic statistic)
       : stat_{statistic} {}
 
-  /// Compiles one candidate path. `path` and `baseline` follow the
-  /// CandidatePath contract (fewer than two nodes = unreachable); static
-  /// link delays and the resolved telemetry handles are read from `map`,
-  /// which must be the same frozen MapLike queries will run against.
+  /// Compiles the next row from one candidate path (CandidatePath
+  /// contract: fewer than two nodes = unreachable); static link delays
+  /// and the resolved telemetry handles are read from `map`, which must
+  /// be the same frozen state queries will run against.
   template <typename MapLike>
-  INTSCHED_COLDPATH void add_path(const MapLike& map, core::NodeId server,
-                                  const std::vector<core::NodeId>& path,
-                                  sim::SimDuration baseline) {
+  INTSCHED_COLDPATH void add_path(const MapLike& map, const CandidatePath& c) {
+    const std::vector<core::NodeId>& path = c.path;
     RankPlane::Row row;
-    row.server = server;
     if (path.size() >= 2) {
       row.reachable = true;
-      row.baseline_delay = baseline;
+      row.baseline_delay = c.baseline_delay;
       sim::SimDuration static_delay = sim::SimDuration::zero();
       for (std::size_t i = 0; i + 1 < path.size(); ++i) {
         static_delay += map.link_delay(path[i], path[i + 1]);
@@ -391,32 +257,12 @@ class RankPlaneBuilder {
     plane_.rows.push_back(row);
   }
 
-  /// Seals and returns the plane, leaving the builder reusable. The
-  /// plane stays disabled (enabled = false, callers fall back) when it
-  /// has no rows or the dense row lookup would be mostly holes — node
-  /// ids far sparser than 8x the row count plus slack.
+  /// Seals and returns the plane, leaving the builder reusable.
   [[nodiscard]] INTSCHED_COLDPATH RankPlane finish() {
     RankPlane plane = std::move(plane_);
     plane_ = RankPlane{};
     dev_id_.clear();
     link_id_.clear();
-    std::size_t max_index = 0;
-    for (const RankPlane::Row& row : plane.rows) {
-      if (row.server.valid()) {
-        max_index = std::max(max_index, row.server.index());
-      }
-    }
-    if (plane.rows.empty() || max_index + 1 > 8 * plane.rows.size() + 1024) {
-      return plane;
-    }
-    plane.row_of.assign(max_index + 1, RankPlane::kNoRow);
-    for (std::size_t r = 0; r < plane.rows.size(); ++r) {
-      const core::NodeId n = plane.rows[r].server;
-      if (n.valid()) {
-        plane.row_of[n.index()] = static_cast<std::uint32_t>(r);
-      }
-    }
-    plane.enabled = true;
     return plane;
   }
 
@@ -522,7 +368,7 @@ namespace plane_detail {
 /// query per distinct device per plane query, whatever the candidate
 /// fan-in — evaluated through the ref resolved at compile time, so the
 /// gather is pointer-direct (no region routing, no hash find). The term
-/// is the exact per-hop contribution of estimate_path_delay under
+/// is the exact per-hop contribution of Algorithm 1's delay estimator under
 /// cfg.queue_statistic (kAverage's /100.0 mean scaling and double ->
 /// int64 rounding included), so summing gathered terms in span order
 /// reproduces the estimator's arithmetic bit-for-bit.
@@ -579,8 +425,8 @@ INTSCHED_HOTPATH inline void gather_link(const RankerConfig& cfg,
 }
 
 /// Row's delay key: static prefix + gathered per-device terms in span
-/// order. Unreachable rows key at SimDuration::max(), matching the
-/// uncompiled path's unreachable delay.
+/// order. Unreachable (or absent) rows key at SimDuration::max(), the
+/// ranking contract's unreachable delay.
 INTSCHED_HOTPATH inline sim::SimDuration delay_key_of(
     const RankerConfig& cfg, const RankPlane& plane, PlaneScratch& scratch,
     const RankPlane::Row* row, sim::SimTime now) {
@@ -649,25 +495,22 @@ INTSCHED_HOTPATH inline void fill_rank(const RankerConfig& cfg,
 }  // namespace plane_detail
 
 /// Fused plane ranking: scores `candidates` against the compiled plane
-/// and writes the best min(top_k, count) entries — sorted exactly as
-/// rank_paths_into sorts — into `out`. top_k = count gives the full
-/// ranking; smaller top_k uses a deterministic partial selection whose
-/// prefix is byte-identical to the full sort (the comparator's
-/// (key, server id) total order leaves no ties for an unstable algorithm
-/// to permute observably). All working memory comes from `scratch`.
-template <typename MapLike>
-INTSCHED_HOTPATH void rank_plane_into(const MapLike& map,
-                                      const RankerConfig& cfg,
-                                      const RankPlane& plane,
-                                      const core::NodeId* candidates,
-                                      std::size_t count, RankingMetric metric,
-                                      sim::SimTime now, std::size_t top_k,
-                                      PlaneScratch& scratch,
-                                      std::vector<ServerRank>& out) {
+/// (rows looked up through the view's shared `index`) and writes the best
+/// min(top_k, count) entries — best first: ascending delay / descending
+/// bandwidth, server id breaking ties, unreachable last — into `out`.
+/// top_k = count gives the full ranking; smaller top_k uses a
+/// deterministic partial selection whose prefix is byte-identical to the
+/// full sort (the comparator's (key, server id) total order leaves no
+/// ties for an unstable algorithm to permute observably). All working
+/// memory comes from `scratch`.
+INTSCHED_HOTPATH inline void rank_plane_into(
+    const RankerConfig& cfg, const NetworkMapConfig& map_cfg,
+    const RankPlane& plane, RowIndex index, const core::NodeId* candidates,
+    std::size_t count, RankingMetric metric, sim::SimTime now,
+    std::size_t top_k, PlaneScratch& scratch, std::vector<ServerRank>& out) {
   scratch.begin(plane);
-  const double nominal = map.config().nominal_capacity.bps();
-  const bool staleness_on =
-      map.config().link_staleness > sim::SimDuration::zero();
+  const double nominal = map_cfg.nominal_capacity.bps();
+  const bool staleness_on = map_cfg.link_staleness > sim::SimDuration::zero();
 
   if (scratch.sel.size() < count) {
     scratch.sel.resize(count, 0);
@@ -676,7 +519,7 @@ INTSCHED_HOTPATH void rank_plane_into(const MapLike& map,
   }
   for (std::size_t i = 0; i < count; ++i) {
     scratch.sel[i] = static_cast<std::uint32_t>(i);
-    const RankPlane::Row* row = plane.row_for(candidates[i]);
+    const RankPlane::Row* row = plane.row_for(index, candidates[i]);
     if (metric == RankingMetric::kDelay) {
       scratch.delay_key[i] =
           plane_detail::delay_key_of(cfg, plane, scratch, row, now);
@@ -725,7 +568,7 @@ INTSCHED_HOTPATH void rank_plane_into(const MapLike& map,
   for (std::size_t j = 0; j < m; ++j) {
     const std::uint32_t i = scratch.sel[j];
     const core::NodeId server = candidates[i];
-    const RankPlane::Row* row = plane.row_for(server);
+    const RankPlane::Row* row = plane.row_for(index, server);
     const sim::SimDuration delay =
         metric == RankingMetric::kDelay
             ? scratch.delay_key[i]
@@ -740,7 +583,7 @@ INTSCHED_HOTPATH void rank_plane_into(const MapLike& map,
 /// `best_server` are read-modify-write, so a caller scanning several
 /// candidate groups under one gather epoch carries the incumbent across
 /// groups and every group after the first is scored against an already
-/// tight bound. The select order IS rank_paths_into's (delay, server id)
+/// tight bound. The select order IS rank_plane_into's (delay, server id)
 /// comparator, so the final incumbent equals the full sort's front.
 ///
 /// Bound short-circuit: a row's delay key is its static prefix plus
@@ -750,12 +593,12 @@ INTSCHED_HOTPATH void rank_plane_into(const MapLike& map,
 /// row is strictly worse than the final winner even on key ties —
 /// selection stays exact, id tie-breaks included.
 INTSCHED_HOTPATH inline void pick_plane_argmin(
-    const RankerConfig& cfg, const RankPlane& plane,
+    const RankerConfig& cfg, const RankPlane& plane, RowIndex index,
     const core::NodeId* servers, std::size_t count, sim::SimTime now,
     PlaneScratch& scratch, std::uint64_t& best_key,
     std::uint32_t& best_server) {
   for (std::size_t i = 0; i < count; ++i) {
-    const RankPlane::Row* row = plane.row_for(servers[i]);
+    const RankPlane::Row* row = plane.row_for(index, servers[i]);
     if (row != nullptr && row->reachable &&
         static_cast<std::uint64_t>(row->static_delay.ns()) > best_key) {
       continue;
@@ -771,32 +614,6 @@ INTSCHED_HOTPATH inline void pick_plane_argmin(
     best_key = better ? cand_key : best_key;
     best_server = better ? sid : best_server;
   }
-}
-
-/// Single-group k=1 plane selection: argmin from a fresh incumbent, then
-/// one full ServerRank materialization for the winner. Identical result
-/// to rank_plane_into(..., top_k = 1)[0]. Precondition: count >= 1 and
-/// scratch.begin(plane) already called for this query.
-template <typename MapLike>
-[[nodiscard]] INTSCHED_HOTPATH ServerRank pick_plane_min_delay(
-    const MapLike& map, const RankerConfig& cfg, const RankPlane& plane,
-    const core::NodeId* servers, std::size_t count, sim::SimTime now,
-    PlaneScratch& scratch) {
-  assert(count >= 1);
-  std::uint64_t best_key = ~std::uint64_t{0};
-  std::uint32_t best_server = 0xffffffffu;
-  pick_plane_argmin(cfg, plane, servers, count, now, scratch, best_key,
-                    best_server);
-  const core::NodeId winner{static_cast<std::int32_t>(best_server)};
-  const sim::SimDuration delay =
-      sim::SimDuration::nanos(static_cast<std::int64_t>(best_key));
-  const double nominal = map.config().nominal_capacity.bps();
-  const bool staleness_on =
-      map.config().link_staleness > sim::SimDuration::zero();
-  ServerRank r;
-  plane_detail::fill_rank(cfg, plane, scratch, plane.row_for(winner), winner,
-                          delay, now, nominal, staleness_on, r);
-  return r;
 }
 
 }  // namespace intsched::core

@@ -9,6 +9,7 @@
 #include "intsched/core/network_map.hpp"
 #include "intsched/core/ranking.hpp"
 #include "intsched/core/sharded_map.hpp"
+#include "intsched/net/topology.hpp"
 #include "intsched/telemetry/collector.hpp"
 #include "intsched/transport/host_stack.hpp"
 
@@ -56,8 +57,11 @@ struct SchedulerConfig {
 /// the same route the serving frontend and the metro benches use.
 class SchedulerService {
  public:
-  SchedulerService(transport::HostStack& stack, RankerConfig ranker_config,
-                   NetworkMapConfig map_config,
+  /// `topology` is the provisioning input: its nodes (ids
+  /// [0, node_count()), assigned sequentially) are the ids the map
+  /// accepts; a probe report naming any other id is rejected at ingest.
+  SchedulerService(transport::HostStack& stack, const net::Topology& topology,
+                   RankerConfig ranker_config, NetworkMapConfig map_config,
                    SchedulerConfig scheduler_config = {});
 
   /// Declares a node as a candidate edge server with the capabilities it

@@ -58,29 +58,27 @@ using ParallelFor =
 /// Static node -> region mapping the shards are keyed by. In the paper's
 /// deployment shape this is provisioning data (which pod a device was
 /// installed in), not something inferred from telemetry, so it is fixed
-/// at construction.
+/// at construction. It is also the ingest boundary's id check: only a
+/// provisioned id — one listed here with a region in [0, count) — ever
+/// reaches a map, so every id a view knows indexes a dense table.
 class RegionAssignment {
  public:
   RegionAssignment() = default;
-  RegionAssignment(std::vector<core::RegionId> by_node, core::RegionId count)
-      : by_node_{std::move(by_node)}, count_{count} {}
+  /// `by_node[i]` is NodeId{i}'s region; an entry outside [0, count)
+  /// leaves that id unprovisioned.
+  RegionAssignment(std::vector<core::RegionId> by_node, core::RegionId count);
 
   [[nodiscard]] static RegionAssignment from_topology(
       const net::GenTopology& topo);
 
-  /// Every valid NodeId — listed or not — in region 0: the flat
-  /// scheduler's deployment, where a one-region ShardedNetworkMap holds
-  /// exactly what a single NetworkMap would (no summary links, no
-  /// borders).
-  [[nodiscard]] static RegionAssignment single_region() {
-    RegionAssignment one{{}, core::RegionId{1}};
-    one.unlisted_ = core::RegionId{0};
-    return one;
-  }
+  /// Ids [0, node_count) in region 0: the flat scheduler's deployment,
+  /// where a one-region ShardedNetworkMap holds exactly what a single
+  /// NetworkMap would (no summary links, no borders).
+  [[nodiscard]] static RegionAssignment single_region(std::int32_t node_count);
 
+  /// The id's region; kNoRegion for an unprovisioned id.
   [[nodiscard]] core::RegionId region_of(core::NodeId n) const {
-    if (!n.valid()) return core::kNoRegion;
-    if (n.index() >= by_node_.size()) return unlisted_;
+    if (!n.valid() || n.index() >= by_node_.size()) return core::kNoRegion;
     return by_node_[n.index()];
   }
   [[nodiscard]] core::RegionId count() const { return count_; }
@@ -88,8 +86,6 @@ class RegionAssignment {
  private:
   std::vector<core::RegionId> by_node_;
   core::RegionId count_{0};
-  /// Region of valid ids past the end of `by_node_`.
-  core::RegionId unlisted_ = core::kNoRegion;
 };
 
 struct ShardedMapConfig {
@@ -117,28 +113,21 @@ struct PickStats {
 /// (slot set fixed at construction). Region snapshots are shared with —
 /// and may outlive — the publishing ShardedNetworkMap.
 ///
-/// Determinism / exactness: rank() scores candidates with the same
-/// rank_paths/estimator templates as the flat path, over paths assembled
-/// from region + summary shortest paths. When regions are delay-isolated
-/// and shortest paths are unique (TopologyGen's jitter regime), the
-/// assembled path IS the flat shortest path and rank() agrees with the
-/// flat ranking field-exactly; the general error bound is DESIGN.md §11.
+/// Determinism / exactness: every query runs the compiled rank-plane
+/// kernel (DESIGN.md §15) over paths assembled from region + summary
+/// shortest paths. When regions are delay-isolated and shortest paths are
+/// unique (TopologyGen's jitter regime), the assembled path IS the flat
+/// shortest path and the ranking agrees with the flat Algorithm 1 oracle
+/// field-exactly; the general error bound is DESIGN.md §11.
 class MetroView {
  public:
   /// Reusable buffers for the allocation-free query entry points
-  /// (rank_into / pick_with). Every vector retains its capacity across
-  /// calls — including the per-candidate path vectors inside `paths`,
-  /// which are cleared element-wise rather than destroyed — so after a
-  /// warm-up pass over the working set (origins seen, candidate counts
-  /// seen), a query performs zero heap allocations (the hotpath-alloc
-  /// lint + the serve allocation-counting test enforce this). One
-  /// scratch per thread; never shared.
+  /// (rank_into / rank_topk_into / pick_with). Every vector retains its
+  /// capacity across calls, so after a warm-up pass over the working set
+  /// (candidate counts seen), a query performs zero heap allocations (the
+  /// hotpath-alloc lint + the serve allocation-counting test enforce
+  /// this). One scratch per thread; never shared.
   struct RankScratch {
-    /// Resolved candidate paths; grown monotonically, reused in place.
-    std::vector<CandidatePath> paths;
-    /// Summary-spine and region-segment scratch for path expansion.
-    std::vector<core::NodeId> spine;
-    std::vector<core::NodeId> seg;
     /// pick_with's region grouping: candidates tagged with their region
     /// and original position, sorted to form contiguous groups.
     struct Grouped {
@@ -156,7 +145,7 @@ class MetroView {
       std::size_t end = 0;
     };
     std::vector<GroupBound> order;
-    /// rank_paths_into output buffer.
+    /// pick_with's top-1 ranking output (bandwidth / unknown origin).
     std::vector<ServerRank> ranked;
     /// Gather + selection scratch for the compiled-plane kernels
     /// (DESIGN.md §15); epoch-stamped, safe to reuse across origins.
@@ -194,10 +183,11 @@ class MetroView {
   /// rank_into limited to the best min(top_k, count) entries: the output
   /// is byte-identical to rank_into's first min(top_k, count) elements
   /// (the (key, server-id) total order makes the partial selection's
-  /// prefix deterministic). On origins with a compiled rank plane this
-  /// runs the fused plane kernel — no path re-walk, one telemetry gather
-  /// per distinct device — and is the ServeFrontend multi-result entry
-  /// point (DESIGN.md §15).
+  /// prefix deterministic). Runs the fused plane kernel over the
+  /// origin's plane — no path re-walk, one telemetry gather per distinct
+  /// device — and is the ServeFrontend multi-result entry point
+  /// (DESIGN.md §15). An origin the view cannot route from ranks over an
+  /// empty plane: every candidate unreachable, in server-id order.
   INTSCHED_HOTPATH void rank_topk_into(core::NodeId origin,
                                        const core::NodeId* candidates,
                                        std::size_t count, RankingMetric metric,
@@ -241,9 +231,9 @@ class MetroView {
  private:
   /// Everything the two-level query path derives, per origin, memoized
   /// once: the origin's region, its region-local shortest paths (borrowed
-  /// from the region snapshot's memo), and a Dijkstra run over the
-  /// augmented summary graph with synthetic origin->border edges costed
-  /// by the region-local distances.
+  /// from the region snapshot's memo), a Dijkstra run over the augmented
+  /// summary graph with synthetic origin->border edges costed by the
+  /// region-local distances, and the compiled plane.
   struct QueryContext {
     bool valid = false;
     core::RegionId region = core::kNoRegion;
@@ -254,10 +244,9 @@ class MetroView {
     /// context build so pick_with reads one contiguous array instead of
     /// hashing into summary_sp per border per query.
     std::vector<sim::SimDuration> region_bound;
-    /// Compiled rank plane over every node the view knows (DESIGN.md
-    /// §15): the two-level candidate paths resolved once at context
-    /// build, frozen into the CSR arena. Disabled when
-    /// RankerConfig::compile_rank_plane is off.
+    /// Compiled rank plane (DESIGN.md §15): the two-level path to every
+    /// node of the view, one row per slot in slot order, frozen into the
+    /// CSR arena. Empty when the origin is not valid.
     RankPlane plane;
   };
   struct CtxSlot {
@@ -265,63 +254,38 @@ class MetroView {
     mutable QueryContext ctx;
   };
 
-  /// Adapter giving the rank_paths/estimate_* templates a NetworkMap-shaped
-  /// query surface over the sharded state: same-region lookups hit the
-  /// owning region snapshot's frozen map, cross-region link lookups hit
-  /// the summary map, and per-device telemetry always lives in the
-  /// device's region map (link_max_queue takes the egress port from the
-  /// summary but the port's queue series from the region — the exact
-  /// split flat ingest would have stored in one map).
+  /// Path-assembly buffers (cold: planes are compiled inside the
+  /// once-per-origin context fill).
+  struct PathScratch {
+    std::vector<core::NodeId> spine;
+    std::vector<core::NodeId> seg;
+  };
+
+  /// Adapter giving the plane compiler a NetworkMap-shaped resolution
+  /// surface over the sharded state: same-region lookups hit the owning
+  /// region snapshot's frozen map, cross-region link lookups hit the
+  /// summary map, and per-device telemetry always lives in the device's
+  /// region map (a cross-region link's egress port comes from the summary
+  /// but the port's queue series from the region — the exact split flat
+  /// ingest would have stored in one map).
   struct HierMap {
     const MetroView* view;
-    [[nodiscard]] const NetworkMapConfig& config() const {
-      return view->summary_map_->config();
-    }
     [[nodiscard]] sim::SimDuration link_delay(core::NodeId from,
                                               core::NodeId to) const {
       return view->link_map(from, to).link_delay(from, to);
     }
-    [[nodiscard]] std::int64_t device_max_queue(core::NodeId device,
-                                                sim::SimTime now) const {
-      return view->device_map(device).device_max_queue(device, now);
-    }
-    [[nodiscard]] double device_avg_queue(core::NodeId device,
-                                          sim::SimTime now) const {
-      return view->device_map(device).device_avg_queue(device, now);
-    }
-    [[nodiscard]] sim::SimDuration device_hop_latency(
-        core::NodeId device, sim::SimTime now) const {
-      return view->device_map(device).device_hop_latency(device, now);
-    }
-    [[nodiscard]] std::int64_t link_max_queue(core::NodeId from, core::NodeId to,
-                                              sim::SimTime now) const {
-      return view->hier_link_max_queue(from, to, now);
-    }
-    [[nodiscard]] bool link_stale(core::NodeId from, core::NodeId to,
-                                  sim::SimTime now) const {
-      return view->link_map(from, to).link_stale(from, to, now);
-    }
-    [[nodiscard]] bool path_stale(const std::vector<core::NodeId>& path,
-                                  sim::SimTime now) const {
-      return view->hier_path_stale(path, now);
-    }
-
-    // -- plane-compiler resolution (mirrors the live routing above) --
-
-    /// Owning map of the device's telemetry: device_map's routing.
+    /// Owning map of the device's telemetry.
     [[nodiscard]] const NetworkMap& plane_device_map(core::NodeId d) const {
       return view->device_map(d);
     }
-    /// Owning map of the link's staleness records: link_stale's routing.
+    /// Owning map of the link's staleness records.
     [[nodiscard]] const NetworkMap& plane_link_stale_map(core::NodeId from,
                                                          core::NodeId to) const {
       return view->link_map(from, to);
     }
-    /// The port series hier_link_max_queue's port branch would read:
-    /// same-region links resolve port and series in the region map;
-    /// cross-region links take the egress port from the summary map but
-    /// the series from `from`'s region map — the exact split the live
-    /// query performs.
+    /// The egress port's queue series: same-region links resolve port
+    /// and series in the region map; cross-region links take the port
+    /// from the summary map but the series from `from`'s region map.
     [[nodiscard]] const NetworkMap::QueueSeries* plane_link_port_series(
         core::NodeId from, core::NodeId to) const {
       const core::RegionId ra = view->regions_->region_of(from);
@@ -334,6 +298,9 @@ class MetroView {
                       : view->device_map(from).find_port_queue(from, port);
     }
   };
+
+  /// Slot (= plane row) marker for an id the view knows nothing about.
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   [[nodiscard]] bool valid_region(core::RegionId r) const {
     return r.valid() && r.index() < region_snaps_.size();
@@ -348,42 +315,25 @@ class MetroView {
   /// Map owning the device's telemetry (its region; summary for
   /// region-less nodes).
   [[nodiscard]] const NetworkMap& device_map(core::NodeId device) const;
-  [[nodiscard]] std::int64_t hier_link_max_queue(core::NodeId from,
-                                                 core::NodeId to,
-                                                 sim::SimTime now) const;
-  [[nodiscard]] bool hier_path_stale(const std::vector<core::NodeId>& path,
-                                     sim::SimTime now) const;
 
-  /// Memoized query context for `origin` (nullptr when the origin is
-  /// unknown to every region graph). Lock-free after the once-fill.
+  /// Memoized query context for `origin` (nullptr when no region graph
+  /// or summary graph knows the origin). Lock-free after the once-fill.
   [[nodiscard]] const QueryContext* query_context(core::NodeId origin) const;
   INTSCHED_COLDPATH void build_context(core::NodeId origin,
                                        QueryContext& ctx) const;
-
-  /// The uncompiled reference ranking (path assembly + rank_paths_into);
-  /// the fallback whenever `origin` has no enabled plane, and the
-  /// equivalence oracle the plane kernels are tested against.
-  INTSCHED_HOTPATH void rank_legacy_into(const QueryContext* ctx,
-                                         core::NodeId origin,
-                                         const core::NodeId* candidates,
-                                         std::size_t count,
-                                         RankingMetric metric,
-                                         sim::SimTime now, RankScratch& scratch,
-                                         std::vector<ServerRank>& out) const;
 
   /// Resolves one candidate to its concrete node path + baseline:
   /// region-local for same-region servers, otherwise cheapest entry
   /// border (summary distance + region distance, smallest border id on
   /// ties) with the summary path expanded through region snapshots.
-  /// Writes into the reused `c` (path capacity retained); allocation-free
-  /// once warm.
+  /// Writes into the reused `c` (path capacity retained).
   void candidate_path_into(const QueryContext& ctx, core::NodeId origin,
                            core::NodeId server, CandidatePath& c,
-                           RankScratch& scratch) const;
+                           PathScratch& scratch) const;
   void expand_summary_path_into(const QueryContext& ctx, core::NodeId origin,
                                 core::NodeId border,
                                 std::vector<core::NodeId>& out,
-                                RankScratch& scratch) const;
+                                PathScratch& scratch) const;
 
   std::shared_ptr<const RegionAssignment> regions_;
   std::vector<std::shared_ptr<const RankSnapshot>> region_snaps_;
@@ -397,9 +347,19 @@ class MetroView {
   /// Which region a transit edge crosses, for path expansion. Ordered map:
   /// built deterministically, read-only afterwards.
   std::map<std::pair<core::NodeId, core::NodeId>, core::RegionId> transit_region_;
-  /// Slot per node known to any region graph; ordered for deterministic
-  /// construction, structure never mutated after it.
-  std::map<core::NodeId, CtxSlot> ctx_slots_;
+  /// Every node known to any region graph or the summary graph,
+  /// ascending: slot s (and row s of every plane) belongs to
+  /// slot_nodes_[s].
+  std::vector<core::NodeId> slot_nodes_;
+  /// Dense node-index -> slot table (kNoSlot where absent); also the
+  /// RowIndex every plane of this view is queried through. Provisioned
+  /// ids only reach a map, so its size is bounded by the provisioning.
+  std::vector<std::uint32_t> slot_of_;
+  /// One context slot per entry of slot_nodes_; fixed at construction.
+  std::unique_ptr<CtxSlot[]> slots_;
+  /// The plane of an origin with no slot: no rows, so every candidate
+  /// ranks unreachable.
+  RankPlane empty_plane_;
 };
 
 /// Region-sharded scheduler map: ingest routes every learned link and
@@ -424,6 +384,12 @@ class ShardedNetworkMap {
   /// Applies one probe report to the shards without publishing: readers
   /// keep the previous view until the next publish(). For writers that
   /// apply many reports between reads (the simulated scheduler).
+  ///
+  /// Ingest boundary: a report whose src or dst is unprovisioned is
+  /// dropped whole (rejected_reports()); an INT entry naming an
+  /// unprovisioned (or invalid) device is skipped and counted
+  /// (rejected_entries()), the chain continuing from the last accepted
+  /// entry exactly as NetworkMap::ingest does for an invalid id.
   INTSCHED_COLDPATH void apply(const telemetry::ProbeReport& report,
                                sim::SimTime now) INTSCHED_EXCLUDES(mutex_);
 
@@ -471,7 +437,11 @@ class ShardedNetworkMap {
   }
   [[nodiscard]] std::int64_t reports_ingested() const
       INTSCHED_EXCLUDES(mutex_);
+  /// INT entries skipped at ingest: invalid or unprovisioned device ids.
   [[nodiscard]] std::int64_t rejected_entries() const
+      INTSCHED_EXCLUDES(mutex_);
+  /// Whole reports dropped at ingest: unprovisioned src or dst.
+  [[nodiscard]] std::int64_t rejected_reports() const
       INTSCHED_EXCLUDES(mutex_);
   /// Region snapshots rebuilt over the map's lifetime — the sharding
   /// win: bounded by touched regions per publish, not region count.
@@ -523,6 +493,7 @@ class ShardedNetworkMap {
   std::vector<char> touched_ INTSCHED_GUARDED_BY(mutex_);
   std::int64_t reports_ INTSCHED_GUARDED_BY(mutex_) = 0;
   std::int64_t rejected_ INTSCHED_GUARDED_BY(mutex_) = 0;
+  std::int64_t rejected_reports_ INTSCHED_GUARDED_BY(mutex_) = 0;
   std::int64_t snapshot_builds_ INTSCHED_GUARDED_BY(mutex_) = 0;
   std::int64_t publishes_ INTSCHED_GUARDED_BY(mutex_) = 0;
   /// Published view: written under mutex_ (release), read lock-free

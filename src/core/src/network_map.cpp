@@ -332,25 +332,10 @@ sim::SimDuration NetworkMap::device_hop_latency(core::NodeId device,
       max_in_window(it->second, window_cutoff(now, cfg_.queue_window)));
 }
 
-std::optional<std::int64_t> NetworkMap::fresh_port_max_queue(
-    core::NodeId device, std::int32_t port, sim::SimTime now) const {
-  const sim::SimTime cutoff = window_cutoff(now, cfg_.queue_window);
-  const auto q = port_queue_.find(PortKey{device, port});
-  if (q == port_queue_.end() || q->second.samples.empty() ||
-      q->second.samples.back().first < cutoff) {
-    return std::nullopt;
-  }
-  return max_in_window(q->second, cutoff);
-}
-
 std::int64_t NetworkMap::link_max_queue(core::NodeId from, core::NodeId to,
                                         sim::SimTime now) const {
-  const auto port_it = link_port_.find(LinkKey{from, to});
-  if (port_it != link_port_.end()) {
-    if (const auto q = fresh_port_max_queue(from, port_it->second, now)) {
-      return *q;
-    }
-  }
+  const QueueSeries* port = plane_link_port_series(from, to);
+  if (port_series_fresh(port, now)) return window_max_of(port, now);
   // Port never probed (or stale): fall back to the device-wide register,
   // a conservative over-approximation.
   return device_max_queue(from, now);

@@ -15,9 +15,7 @@ const net::ShortestPaths* RankSnapshot::paths_from(core::NodeId origin) const {
   const auto it = sp_slots_.find(origin);
   if (it == sp_slots_.end()) return nullptr;
   const SpSlot& slot = it->second;
-  // intsched-contract: allow(hot-lock): once-per-origin memo fill (§10)
   std::call_once(slot.once, [this, origin, &slot] {
-    // intsched-contract: allow(hot-coldcall): sanctioned once-only fill
     slot.sp = net::dijkstra(graph_, origin);
     memo_fills_.fetch_add(1, std::memory_order_relaxed);
   });

@@ -15,12 +15,14 @@ constexpr sim::Bytes kRequestSize = net::kHeaderBytes + 16;
 }  // namespace
 
 SchedulerService::SchedulerService(transport::HostStack& stack,
+                                   const net::Topology& topology,
                                    RankerConfig ranker_config,
                                    NetworkMapConfig map_config,
                                    SchedulerConfig scheduler_config)
     : stack_{stack},
       collector_{stack.host()},
-      map_{RegionAssignment::single_region(),
+      map_{RegionAssignment::single_region(
+               static_cast<std::int32_t>(topology.node_count())),
            ShardedMapConfig{.map = map_config,
                             .ranker = std::move(ranker_config)}},
       cfg_{scheduler_config} {

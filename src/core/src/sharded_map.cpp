@@ -5,6 +5,22 @@
 
 namespace intsched::core {
 
+RegionAssignment::RegionAssignment(std::vector<core::RegionId> by_node,
+                                   core::RegionId count)
+    : by_node_{std::move(by_node)}, count_{count} {
+  for (core::RegionId& r : by_node_) {
+    if (!r.valid() || r.value() >= count_.value()) r = core::kNoRegion;
+  }
+}
+
+RegionAssignment RegionAssignment::single_region(std::int32_t node_count) {
+  return RegionAssignment{
+      std::vector<core::RegionId>(
+          static_cast<std::size_t>(std::max<std::int32_t>(0, node_count)),
+          core::RegionId{0}),
+      core::RegionId{1}};
+}
+
 RegionAssignment RegionAssignment::from_topology(
     const net::GenTopology& topo) {
   std::vector<core::RegionId> by_node;
@@ -55,16 +71,27 @@ MetroView::MetroView(
   }
 
   // Query-context slot per node known to any region graph (plus the
-  // summary's own nodes, so gateway-origin queries resolve too). The
-  // slot *set* is fixed here; readers only fill slot contents.
+  // summary's own nodes, so gateway-origin queries resolve too), in
+  // ascending id order. The slot *set* is fixed here; readers only fill
+  // slot contents. Only provisioned ids reach a map, so the dense
+  // id -> slot table is bounded by the provisioning.
   for (const std::shared_ptr<const RankSnapshot>& snap : region_snaps_) {
-    for (const core::NodeId n : snap->delay_graph().nodes()) {
-      ctx_slots_.try_emplace(n);
-    }
+    const std::vector<core::NodeId> nodes = snap->delay_graph().nodes();
+    slot_nodes_.insert(slot_nodes_.end(), nodes.begin(), nodes.end());
   }
-  for (const core::NodeId n : summary_graph_.nodes()) {
-    ctx_slots_.try_emplace(n);
+  const std::vector<core::NodeId> summary_nodes = summary_graph_.nodes();
+  slot_nodes_.insert(slot_nodes_.end(), summary_nodes.begin(),
+                     summary_nodes.end());
+  std::sort(slot_nodes_.begin(), slot_nodes_.end());
+  slot_nodes_.erase(std::unique(slot_nodes_.begin(), slot_nodes_.end()),
+                    slot_nodes_.end());
+  slot_of_.assign(slot_nodes_.empty() ? 0 : slot_nodes_.back().index() + 1,
+                  kNoSlot);
+  for (std::size_t s = 0; s < slot_nodes_.size(); ++s) {
+    assert(slot_nodes_[s].valid());
+    slot_of_[slot_nodes_[s].index()] = static_cast<std::uint32_t>(s);
   }
+  slots_ = std::make_unique<CtxSlot[]>(slot_nodes_.size());
 }
 
 const NetworkMap& MetroView::link_map(core::NodeId from, core::NodeId to) const {
@@ -78,37 +105,6 @@ const NetworkMap& MetroView::device_map(core::NodeId device) const {
   const core::RegionId r = regions_->region_of(device);
   if (valid_region(r)) return region_map(r);
   return *summary_map_;
-}
-
-std::int64_t MetroView::hier_link_max_queue(core::NodeId from, core::NodeId to,
-                                            sim::SimTime now) const {
-  const core::RegionId ra = regions_->region_of(from);
-  const core::RegionId rb = regions_->region_of(to);
-  if (ra == rb && valid_region(ra)) {
-    return region_map(ra).link_max_queue(from, to, now);
-  }
-  // Cross-region link: the egress port was learned in the summary map,
-  // but the port's queue series (per-device telemetry) lives in `from`'s
-  // region map — consult both halves, then the flat fallback.
-  const std::int32_t port = summary_map_->egress_port(from, to);
-  const NetworkMap& dm = device_map(from);
-  if (port >= 0) {
-    if (const auto q = dm.fresh_port_max_queue(from, port, now)) return *q;
-  }
-  return dm.device_max_queue(from, now);
-}
-
-bool MetroView::hier_path_stale(const std::vector<core::NodeId>& path,
-                                sim::SimTime now) const {
-  if (summary_map_->config().link_staleness <= sim::SimDuration::zero()) {
-    return false;
-  }
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    if (link_map(path[i - 1], path[i]).link_stale(path[i - 1], path[i], now)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void MetroView::build_context(core::NodeId origin, QueryContext& ctx) const {
@@ -153,30 +149,28 @@ void MetroView::build_context(core::NodeId origin, QueryContext& ctx) const {
     }
   }
 
-  if (cfg_.compile_rank_plane) {
-    // Compile the origin's rank plane (DESIGN.md §15): resolve the
-    // two-level candidate path to every node the view knows — in
-    // slot-key order, so the arena layout is deterministic — and freeze
-    // each into a CSR row. Cold by contract: this runs once per origin
-    // inside the query-context call_once.
-    RankPlaneBuilder builder{cfg_.queue_statistic};
-    RankScratch scratch;
-    CandidatePath c;
-    const HierMap hier{this};
-    for (const auto& [node, unused] : ctx_slots_) {
-      static_cast<void>(unused);
-      candidate_path_into(ctx, origin, node, c, scratch);
-      builder.add_path(hier, node, c.path, c.baseline_delay);
-    }
-    ctx.plane = builder.finish();
+  // Compile the origin's rank plane (DESIGN.md §15): resolve the
+  // two-level candidate path to every node the view knows — in slot
+  // order, so row s is slot s for every origin — and freeze each into a
+  // CSR row. Cold by contract: this runs once per origin inside the
+  // query-context call_once.
+  RankPlaneBuilder builder{cfg_.queue_statistic};
+  PathScratch scratch;
+  CandidatePath c;
+  const HierMap hier{this};
+  for (const core::NodeId node : slot_nodes_) {
+    candidate_path_into(ctx, origin, node, c, scratch);
+    builder.add_path(hier, c);
   }
+  ctx.plane = builder.finish();
 }
 
 const MetroView::QueryContext* MetroView::query_context(
     core::NodeId origin) const {
-  const auto it = ctx_slots_.find(origin);
-  if (it == ctx_slots_.end()) return nullptr;
-  const CtxSlot& slot = it->second;
+  if (!origin.valid() || origin.index() >= slot_of_.size()) return nullptr;
+  const std::uint32_t s = slot_of_[origin.index()];
+  if (s == kNoSlot) return nullptr;
+  const CtxSlot& slot = slots_[s];
   // intsched-contract: allow(hot-lock): once-per-origin memo fill (§11)
   std::call_once(slot.once, [this, origin, &slot] {
     // intsched-contract: allow(hot-coldcall): sanctioned once-only fill
@@ -185,12 +179,11 @@ const MetroView::QueryContext* MetroView::query_context(
   return &slot.ctx;
 }
 
-// intsched-lint: hot-path
 void MetroView::expand_summary_path_into(const QueryContext& ctx,
                                          core::NodeId origin,
                                          core::NodeId border,
                                          std::vector<core::NodeId>& out,
-                                         RankScratch& scratch) const {
+                                         PathScratch& scratch) const {
   out.clear();
   scratch.spine.clear();
   if (!ctx.summary_sp.append_path_to(border, scratch.spine)) return;
@@ -226,11 +219,10 @@ void MetroView::expand_summary_path_into(const QueryContext& ctx,
   }
 }
 
-// intsched-lint: hot-path
 void MetroView::candidate_path_into(const QueryContext& ctx,
                                     core::NodeId origin, core::NodeId server,
                                     CandidatePath& c,
-                                    RankScratch& scratch) const {
+                                    PathScratch& scratch) const {
   c.server = server;
   c.path.clear();
   c.baseline_delay = sim::SimDuration::max();
@@ -278,30 +270,6 @@ void MetroView::candidate_path_into(const QueryContext& ctx,
 }
 
 // intsched-lint: hot-path
-void MetroView::rank_legacy_into(const QueryContext* ctx, core::NodeId origin,
-                                 const core::NodeId* candidates,
-                                 std::size_t count, RankingMetric metric,
-                                 sim::SimTime now, RankScratch& scratch,
-                                 std::vector<ServerRank>& out) const {
-  // Grow-only: shrinking would destroy the pooled path vectors (and
-  // their capacity) the zero-allocation contract depends on.
-  if (scratch.paths.size() < count) scratch.paths.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    CandidatePath& c = scratch.paths[i];
-    if (ctx != nullptr && ctx->valid) {
-      candidate_path_into(*ctx, origin, candidates[i], c, scratch);
-    } else {
-      // Unknown origin: every candidate unreachable.
-      c.server = candidates[i];
-      c.path.clear();
-      c.baseline_delay = sim::SimDuration::max();
-    }
-  }
-  rank_paths_into(HierMap{this}, cfg_, scratch.paths.data(), count, metric,
-                  now, out);
-}
-
-// intsched-lint: hot-path
 void MetroView::rank_into(core::NodeId origin, const core::NodeId* candidates,
                           std::size_t count, RankingMetric metric,
                           sim::SimTime now, RankScratch& scratch,
@@ -316,17 +284,13 @@ void MetroView::rank_topk_into(core::NodeId origin,
                                sim::SimTime now, std::size_t top_k,
                                RankScratch& scratch,
                                std::vector<ServerRank>& out) const {
+  // Compiled plane kernel: fused SoA scoring + deterministic top-k
+  // selection (DESIGN.md §15). An origin with no context, or one no
+  // region graph routes from, has an empty plane — every row absent.
   const QueryContext* ctx = query_context(origin);
-  if (ctx != nullptr && ctx->valid && ctx->plane.enabled) {
-    // Compiled fast path: fused SoA kernel + deterministic top-k
-    // selection over the origin's plane (DESIGN.md §15).
-    rank_plane_into(HierMap{this}, cfg_, ctx->plane, candidates, count,
-                    metric, now, top_k, scratch.plane, out);
-    return;
-  }
-  rank_legacy_into(ctx, origin, candidates, count, metric, now, scratch, out);
-  const std::size_t m = std::min(top_k, count);
-  if (out.size() > m) out.resize(m);
+  rank_plane_into(cfg_, summary_map_->config(),
+                  ctx != nullptr ? ctx->plane : empty_plane_, slot_of_,
+                  candidates, count, metric, now, top_k, scratch.plane, out);
 }
 
 std::vector<ServerRank> MetroView::rank(
@@ -350,9 +314,9 @@ std::optional<ServerRank> MetroView::pick_with(
   if (ctx == nullptr || !ctx->valid || metric != RankingMetric::kDelay) {
     // Bandwidth has no admissible region lower bound (a distant region
     // can still win); unknown origins rank everything unreachable. Both
-    // fall back to the full ranking.
-    rank_into(origin, candidates, count, metric, now, scratch,
-              scratch.ranked);
+    // take the ranking's first entry.
+    rank_topk_into(origin, candidates, count, metric, now, 1, scratch,
+                   scratch.ranked);
     if (stats != nullptr) {
       stats->regions_considered = 1;
       stats->candidates_scored = static_cast<std::int64_t>(count);
@@ -406,74 +370,51 @@ std::optional<ServerRank> MetroView::pick_with(
               return a.region < b.region;
             });
 
-  const HierMap hier{this};
   // One gather epoch for the whole pick: groups share the plane scratch,
   // so a device queried while scoring one region is not re-queried when
-  // a later region's paths cross it. The plane arm additionally carries
-  // one running (delay ns, server id) incumbent across the whole group
-  // sweep — later groups are scored against an already tight bound, so
-  // the argmin's static-delay short-circuit skips most of their rows —
-  // and materializes the full ServerRank exactly once at the end.
-  const bool use_plane = ctx->plane.enabled;
-  if (use_plane) scratch.plane.begin(ctx->plane);
+  // a later region's paths cross it. One running (delay ns, server id)
+  // incumbent is carried across the whole group sweep — later groups are
+  // scored against an already tight bound, so the argmin's static-delay
+  // short-circuit skips most of their rows — and the full ServerRank is
+  // materialized exactly once at the end.
+  const RankPlane& plane = ctx->plane;
+  scratch.plane.begin(plane);
   std::uint64_t best_key = ~std::uint64_t{0};
   std::uint32_t best_sid = 0xffffffffu;
-  std::optional<ServerRank> best;
   PickStats local{};
   for (const RankScratch::GroupBound& gb : scratch.order) {
     // Strict >: a region whose bound *ties* the best estimate can still
     // hold the tie-breaking (smaller-id) winner, so only a strictly
     // worse bound may be pruned.
-    if (use_plane) {
-      if (best_sid != 0xffffffffu &&
-          gb.bound > sim::SimDuration::nanos(
-                         static_cast<std::int64_t>(best_key))) {
-        ++local.regions_pruned;
-        continue;
-      }
-    } else if (best.has_value() && gb.bound > best->delay_estimate) {
+    if (best_sid != 0xffffffffu &&
+        gb.bound >
+            sim::SimDuration::nanos(static_cast<std::int64_t>(best_key))) {
       ++local.regions_pruned;
       continue;
     }
     ++local.regions_considered;
     const std::size_t group_size = gb.end - gb.begin;
     local.candidates_scored += static_cast<std::int64_t>(group_size);
-    if (use_plane) {
-      // k=1 plane argmin: same (delay, server-id) winner as ranking the
-      // group and taking front(), without the sort — continued from the
-      // incumbent, so the comparison with `best` is built in.
-      scratch.group_servers.clear();
-      for (std::size_t i = 0; i < group_size; ++i) {
-        scratch.group_servers.push_back(scratch.grouped[gb.begin + i].server);
-      }
-      pick_plane_argmin(cfg_, ctx->plane, scratch.group_servers.data(),
-                        group_size, now, scratch.plane, best_key, best_sid);
-    } else {
-      if (scratch.paths.size() < group_size) scratch.paths.resize(group_size);
-      for (std::size_t i = 0; i < group_size; ++i) {
-        candidate_path_into(*ctx, origin, scratch.grouped[gb.begin + i].server,
-                            scratch.paths[i], scratch);
-      }
-      rank_paths_into(hier, cfg_, scratch.paths.data(), group_size, metric,
-                      now, scratch.ranked);
-      if (scratch.ranked.empty()) continue;
-      const ServerRank& top = scratch.ranked.front();
-      if (!best.has_value() ||
-          top.delay_estimate < best->delay_estimate ||
-          (top.delay_estimate == best->delay_estimate &&
-           top.server < best->server)) {
-        best = top;
-      }
+    // k=1 plane argmin: same (delay, server-id) winner as ranking the
+    // group and taking front(), without the sort — continued from the
+    // incumbent, so the comparison across groups is built in.
+    scratch.group_servers.clear();
+    for (std::size_t i = 0; i < group_size; ++i) {
+      scratch.group_servers.push_back(scratch.grouped[gb.begin + i].server);
     }
+    pick_plane_argmin(cfg_, plane, slot_of_, scratch.group_servers.data(),
+                      group_size, now, scratch.plane, best_key, best_sid);
   }
-  if (use_plane && best_sid != 0xffffffffu) {
+  std::optional<ServerRank> best;
+  if (best_sid != 0xffffffffu) {
     const core::NodeId winner{static_cast<std::int32_t>(best_sid)};
+    const NetworkMapConfig& map_cfg = summary_map_->config();
     ServerRank r;
     plane_detail::fill_rank(
-        cfg_, ctx->plane, scratch.plane, ctx->plane.row_for(winner), winner,
+        cfg_, plane, scratch.plane, plane.row_for(slot_of_, winner), winner,
         sim::SimDuration::nanos(static_cast<std::int64_t>(best_key)), now,
-        hier.config().nominal_capacity.bps(),
-        hier.config().link_staleness > sim::SimDuration::zero(), r);
+        map_cfg.nominal_capacity.bps(),
+        map_cfg.link_staleness > sim::SimDuration::zero(), r);
     best = r;
   }
   if (stats != nullptr) *stats = local;
@@ -513,19 +454,19 @@ void ShardedNetworkMap::learn_pair_locked(core::NodeId from, core::NodeId to,
                                           std::int32_t out_port,
                                           sim::SimDuration delay_sample,
                                           sim::SimTime now) {
+  // Both ends are provisioned (apply_report_locked rejects the rest), so
+  // each has a region in [0, region_count()).
   const core::RegionId ra = regions_->region_of(from);
   const core::RegionId rb = regions_->region_of(to);
-  const auto n = region_maps_.size();
-  if (ra == rb && ra.valid() && ra.index() < n) {
+  if (ra == rb) {
     region_maps_[ra.index()].learn_link(from, to, out_port, delay_sample,
                                         now);
     touched_[ra.index()] = 1;
     return;
   }
   summary_map_.learn_link(from, to, out_port, delay_sample, now);
-  touched_[n] = 1;
-  const auto note_border = [this, n](core::RegionId r, core::NodeId node) {
-    if (!r.valid() || r.index() >= n) return;
+  touched_[region_maps_.size()] = 1;
+  const auto note_border = [this](core::RegionId r, core::NodeId node) {
     std::vector<core::NodeId>& borders = borders_by_region_[r.index()];
     const auto it = std::lower_bound(borders.begin(), borders.end(), node);
     if (it == borders.end() || *it != node) borders.insert(it, node);
@@ -536,14 +477,24 @@ void ShardedNetworkMap::learn_pair_locked(core::NodeId from, core::NodeId to,
 
 void ShardedNetworkMap::apply_report_locked(
     const telemetry::ProbeReport& report, sim::SimTime now) {
+  // Ingest boundary: an unprovisioned endpoint drops the whole report
+  // before any shard is touched.
+  if (!regions_->region_of(report.src).valid() ||
+      !regions_->region_of(report.dst).valid()) {
+    ++rejected_reports_;
+    return;
+  }
   std::fill(touched_.begin(), touched_.end(), 0);
 
   // Same walk as NetworkMap::ingest, with each step routed to the owning
-  // shard (see that function for the semantics of every step).
+  // shard (see that function for the semantics of every step). An entry
+  // naming an invalid or unprovisioned device is skipped like the flat
+  // map's invalid id: the chain continues from the last accepted entry.
   core::NodeId upstream = report.src;
   std::int32_t upstream_port = 0;
   for (const auto& e : report.entries) {
-    if (!e.device.valid()) {
+    const core::RegionId rd = regions_->region_of(e.device);
+    if (!rd.valid()) {
       ++rejected_;
       continue;
     }
@@ -551,14 +502,8 @@ void ShardedNetworkMap::apply_report_locked(
                       e.ingress_link_latency, now);
     learn_pair_locked(e.device, upstream, e.ingress_port,
                       sim::SimDuration::nanos(-1), now);
-    const core::RegionId rd = regions_->region_of(e.device);
-    if (rd.valid() && rd.index() < region_maps_.size()) {
-      region_maps_[rd.index()].record_entry_telemetry(e, now);
-      touched_[rd.index()] = 1;
-    } else {
-      summary_map_.record_entry_telemetry(e, now);
-      touched_[region_maps_.size()] = 1;
-    }
+    region_maps_[rd.index()].record_entry_telemetry(e, now);
+    touched_[rd.index()] = 1;
     upstream = e.device;
     upstream_port = e.egress_port;
   }
@@ -686,6 +631,11 @@ std::int64_t ShardedNetworkMap::reports_ingested() const {
 std::int64_t ShardedNetworkMap::rejected_entries() const {
   LockGuard lock{mutex_};
   return rejected_;
+}
+
+std::int64_t ShardedNetworkMap::rejected_reports() const {
+  LockGuard lock{mutex_};
+  return rejected_reports_;
 }
 
 std::int64_t ShardedNetworkMap::region_snapshot_builds() const {

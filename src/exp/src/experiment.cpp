@@ -64,8 +64,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   map_cfg.queue_window = std::max(sim::SimDuration::millis(150),
                                   (config.probe_interval * 3) / 2);
   map_cfg.link_staleness = config.telemetry_staleness;
-  core::SchedulerService service{scheduler_stack, config.ranker, map_cfg,
-                                 config.scheduler};
+  core::SchedulerService service{scheduler_stack, network.topology(),
+                                 config.ranker, map_cfg, config.scheduler};
   for (const core::NodeId id : host_ids) service.register_edge_server(id);
 
   // Probe agents on every edge server (all non-scheduler hosts), staggered

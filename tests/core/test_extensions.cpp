@@ -22,7 +22,8 @@ struct ExtensionFixture : ::testing::Test {
       stacks.push_back(std::make_unique<transport::HostStack>(*h));
     }
     service = std::make_unique<SchedulerService>(
-        *stacks[5], RankerConfig{}, NetworkMapConfig{}, cfg);
+        *stacks[5], network.topology(),
+        RankerConfig{}, NetworkMapConfig{}, cfg);
     for (net::Host* h : network.hosts()) {
       if (h->id() == network.scheduler_host().id()) continue;
       agents.push_back(std::make_unique<telemetry::ProbeAgent>(

@@ -1,8 +1,8 @@
 // The flat scheduler's map: a one-region ShardedNetworkMap (what
 // SchedulerService owns) held to the flat Algorithm 1 oracle in
-// tests/support. Every valid id lands in region 0, so the published view
-// must rank exactly like the oracle over a plain NetworkMap fed the same
-// reports. The ConcurrentMapModes suite runs every behaviour in both
+// tests/support. Every provisioned id lands in region 0, so the published
+// view must rank exactly like the oracle over a plain NetworkMap fed the
+// same reports. The ConcurrentMapModes suite runs every behaviour in both
 // publication modes: `snapshot` publishes a view per ingest (ingest /
 // ingest_batch), `lazy` applies reports without publishing and
 // publishes before a read when reports arrived (SchedulerService's
@@ -25,6 +25,10 @@
 
 namespace intsched::core {
 namespace {
+
+/// Provisioned ids [0, kNodes): hosts 0/1, switches 10/11 and the
+/// never-probed candidate 99.
+constexpr std::int32_t kNodes = 100;
 
 sim::SimDuration ms(int v) { return sim::SimDuration::milliseconds(v); }
 sim::SimTime at_ms(int v) { return sim::SimTime::at(ms(v)); }
@@ -74,7 +78,7 @@ void expect_ranks_identical(const std::vector<ServerRank>& got,
 }
 
 ShardedNetworkMap one_region(RankerConfig ranker = {}) {
-  return ShardedNetworkMap{RegionAssignment::single_region(),
+  return ShardedNetworkMap{RegionAssignment::single_region(kNodes),
                            ShardedMapConfig{.ranker = std::move(ranker)}};
 }
 
@@ -127,21 +131,47 @@ INSTANTIATE_TEST_SUITE_P(
                                                                  : "snapshot"};
     });
 
-TEST(OneRegionMapTest, EveryValidIdIsInRegionZero) {
-  const RegionAssignment one = RegionAssignment::single_region();
+TEST(OneRegionMapTest, OnlyProvisionedIdsAreInRegionZero) {
+  const RegionAssignment one = RegionAssignment::single_region(kNodes);
   EXPECT_EQ(one.count(), core::RegionId{1});
   EXPECT_EQ(one.region_of(core::NodeId{0}), core::RegionId{0});
-  EXPECT_EQ(one.region_of(core::NodeId{5000000}), core::RegionId{0});
+  EXPECT_EQ(one.region_of(core::NodeId{kNodes - 1}), core::RegionId{0});
+  EXPECT_EQ(one.region_of(core::NodeId{kNodes}), core::kNoRegion);
+  EXPECT_EQ(one.region_of(core::NodeId{5000000}), core::kNoRegion);
   EXPECT_EQ(one.region_of(core::kInvalidNode), core::kNoRegion);
+  EXPECT_EQ(RegionAssignment::single_region(0).region_of(core::NodeId{0}),
+            core::kNoRegion);
 
-  // So a report naming far-off ids learns no cross-region link: the
-  // view has no borders and an empty summary.
+  // So an INT entry naming an id past the provisioned range is rejected
+  // at ingest: counted, its links never learned, and the rest of the
+  // report chains around it exactly as the flat map chains around an
+  // invalid id — the view still has no borders and an empty summary.
   ShardedNetworkMap map = one_region();
   telemetry::ProbeReport r = simple_report();
-  r.entries.push_back(entry(core::NodeId{5000000}, 2, 4, 3, ms(7)));
+  r.entries.insert(r.entries.begin() + 1,
+                   entry(core::NodeId{5000000}, 2, 4, 3, ms(7)));
   map.ingest(r, at_ms(0));
-  EXPECT_TRUE(map.view()->borders_of(core::RegionId{0}).empty());
-  EXPECT_EQ(map.view()->summary_map().known_link_count(), 0);
+  EXPECT_EQ(map.rejected_entries(), 1);
+  EXPECT_EQ(map.reports_ingested(), 1);
+  const auto view = map.view();
+  EXPECT_TRUE(view->borders_of(core::RegionId{0}).empty());
+  EXPECT_EQ(view->summary_map().known_link_count(), 0);
+  const NetworkMap& region = view->region_snapshot(core::RegionId{0}).map();
+  EXPECT_FALSE(region.knows_node(core::NodeId{5000000}));
+  EXPECT_TRUE(region.knows_node(core::NodeId{11}));
+
+  telemetry::ProbeReport oracle_report = r;
+  oracle_report.entries[1].device = core::kInvalidNode;
+  NetworkMap plain;
+  plain.ingest(oracle_report, at_ms(0));
+  const Ranker oracle{plain};
+  const std::vector<core::NodeId> candidates{core::NodeId{1}, core::NodeId{99}};
+  for (const auto metric :
+       {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
+    expect_ranks_identical(
+        map.rank(core::NodeId{0}, candidates, metric, at_ms(1)),
+        oracle.rank(core::NodeId{0}, candidates, metric, at_ms(1)));
+  }
 }
 
 TEST_P(ConcurrentMapModes, SingleThreadedBehaviourMatchesNetworkMap) {

@@ -30,6 +30,10 @@
 namespace intsched::core {
 namespace {
 
+/// Provisioned ids [0, kNodes): hosts 0/1, switches 10/11 and the
+/// never-probed candidate 99.
+constexpr std::int32_t kNodes = 100;
+
 sim::SimDuration ms(int v) { return sim::SimDuration::milliseconds(v); }
 sim::SimTime at_ms(int v) { return sim::SimTime::at(ms(v)); }
 
@@ -80,7 +84,7 @@ TEST(RankSnapshotTest, RankMatchesRankerOnTheSameMap) {
   NetworkMap map;
   map.ingest(simple_report(5, 3), at_ms(0));
   map.ingest(simple_report(2, 7), at_ms(1));
-  ShardedNetworkMap shared{RegionAssignment::single_region()};
+  ShardedNetworkMap shared{RegionAssignment::single_region(kNodes)};
   shared.ingest(simple_report(5, 3), at_ms(0));
   shared.ingest(simple_report(2, 7), at_ms(1));
 
@@ -99,7 +103,7 @@ TEST(RankSnapshotTest, RankMatchesRankerOnTheSameMap) {
 }
 
 TEST(RankSnapshotTest, SnapshotIsImmutableAcrossLaterIngest) {
-  ShardedNetworkMap shared{RegionAssignment::single_region()};
+  ShardedNetworkMap shared{RegionAssignment::single_region(kNodes)};
   shared.ingest(simple_report(4, 4), at_ms(0));
 
   const std::shared_ptr<const MetroView> old = shared.view();
@@ -162,7 +166,7 @@ TEST(RankSnapshotTest, FreshnessPropertyUnderConcurrentIngest) {
   constexpr int kReaders = 4;
   constexpr int kObservationsPerReader = 200;
 
-  ShardedNetworkMap shared{RegionAssignment::single_region()};
+  ShardedNetworkMap shared{RegionAssignment::single_region(kNodes)};
   shared.ingest(simple_report(), at_ms(0));
 
   std::atomic<std::int64_t> progress{1};  // reports whose publish returned
@@ -215,7 +219,7 @@ TEST(RankSnapshotTest, TortureEightReadersOneWriter) {
   constexpr int kBatches = 250;           // 1k more reports, batched by 4
   constexpr int kBatchSize = 4;
 
-  ShardedNetworkMap shared{RegionAssignment::single_region()};
+  ShardedNetworkMap shared{RegionAssignment::single_region(kNodes)};
   shared.ingest(simple_report(), at_ms(0));
 
   const auto burst_of = [](int b) {

@@ -53,7 +53,7 @@ struct ServiceFixture : ::testing::Test {
       stacks.push_back(std::make_unique<transport::HostStack>(*h));
     }
     service = std::make_unique<SchedulerService>(
-        *stacks[5], RankerConfig{}, NetworkMapConfig{});
+        *stacks[5], network.topology(), RankerConfig{}, NetworkMapConfig{});
     for (const core::NodeId id : network.host_ids()) {
       service->register_edge_server(id);
     }
@@ -242,7 +242,7 @@ struct DegradedServiceFixture : ::testing::Test {
     NetworkMapConfig map_cfg;
     map_cfg.link_staleness = sim::SimDuration::milliseconds(400);
     service = std::make_unique<SchedulerService>(
-        *stacks[5], RankerConfig{}, map_cfg);
+        *stacks[5], network.topology(), RankerConfig{}, map_cfg);
     for (const core::NodeId id : network.host_ids()) {
       service->register_edge_server(id);
     }

@@ -1,7 +1,7 @@
 // ShardedNetworkMap / MetroView: the two-level metro read path must agree
 // with the flat Algorithm 1 oracle (tests/support) — field-exact in the
-// delay-isolated metro regime, border-gateway origins and forged device
-// ids included — pick() == rank()[0] with real
+// delay-isolated metro regime, border-gateway origins included; forged or
+// unprovisioned ids rejected at ingest — pick() == rank()[0] with real
 // region pruning, byte-identical results across rebuild-executor widths
 // (serial / 2 / 8 threads), and an 8-reader/1-writer torture run
 // mirroring the RankSnapshot one (this file rides in concurrency_tests,
@@ -339,10 +339,27 @@ TEST(ShardedMapTest, BorderOriginMatchesFlatOracle) {
   }
 }
 
+/// Every region's border list plus the summary's link count: what an
+/// unprovisioned id must not grow.
+struct BorderState {
+  std::vector<std::vector<core::NodeId>> borders;
+  std::int64_t summary_links = 0;
+
+  explicit BorderState(const MetroView& view)
+      : summary_links{view.summary_map().known_link_count()} {
+    for (std::int32_t r = 0; r < view.region_count().value(); ++r) {
+      borders.push_back(view.borders_of(core::RegionId{r}));
+    }
+  }
+  bool operator==(const BorderState&) const = default;
+};
+
 // A probe report carrying a forged INT device id (beyond every region's
-// provisioning table) lands its links in the summary map and makes the
-// report's endpoints borders. Decisions for those hosts must keep
-// working — and keep agreeing with the flat oracle fed the same report.
+// provisioning table) is rejected at the ingest boundary: the entry is
+// counted and skipped — the chain continues from the last accepted entry,
+// as the flat map does for an invalid id — so no summary link or border
+// appears, and decisions for the report's hosts keep agreeing with the
+// flat oracle fed the same report with the forged id invalidated.
 TEST(ShardedMapTest, ForgedDeviceIdKeepsDecisionsWorking) {
   MetroFixture m{4, 1, 7};
   ShardedNetworkMap sharded{RegionAssignment::from_topology(m.topo)};
@@ -350,19 +367,21 @@ TEST(ShardedMapTest, ForgedDeviceIdKeepsDecisionsWorking) {
   const sim::SimTime now = MetroFixture::epoch_time(0);
   sharded.ingest_batch(m.batches[0], now);
   for (const auto& r : m.batches[0]) flat_map.ingest(r, now);
+  const BorderState before{*sharded.view()};
 
   telemetry::ProbeReport forged = m.batches[0].front();
   ASSERT_FALSE(forged.entries.empty());
   forged.entries.back().device = core::NodeId{5000000};
   sharded.ingest(forged, now);
-  flat_map.ingest(forged, now);
-  EXPECT_EQ(sharded.rejected_entries(), 0);  // a valid id, just unprovisioned
-
-  const core::RegionId dst_region = sharded.region_of(forged.dst);
-  const auto view = sharded.view();
-  const std::vector<core::NodeId>& borders = view->borders_of(dst_region);
-  ASSERT_TRUE(std::binary_search(borders.begin(), borders.end(), forged.dst))
-      << "the forged link should make the report's dst a border";
+  telemetry::ProbeReport oracle_report = forged;
+  oracle_report.entries.back().device = core::kInvalidNode;
+  flat_map.ingest(oracle_report, now);
+  EXPECT_GT(sharded.rejected_entries(), 0);
+  EXPECT_EQ(sharded.rejected_reports(), 0);
+  EXPECT_EQ(sharded.reports_ingested(),
+            static_cast<std::int64_t>(m.batches[0].size()) + 1);
+  EXPECT_TRUE(BorderState{*sharded.view()} == before)
+      << "the forged entry grew the summary graph";
 
   const Ranker flat{flat_map};
   const std::vector<core::NodeId> servers = m.topo.edge_servers();
@@ -374,8 +393,57 @@ TEST(ShardedMapTest, ForgedDeviceIdKeepsDecisionsWorking) {
                              "forged device id");
       const auto best = sharded.pick(origin, servers, metric, now);
       ASSERT_TRUE(best.has_value());
-      EXPECT_EQ(best->server, want.front().server);
+      expect_ranks_identical({*best}, {want.front()}, "forged device pick");
     }
+  }
+}
+
+// A report whose src or dst is unprovisioned is dropped whole before any
+// shard is touched: counted, no report ingested, no link learned, and the
+// next view ranks exactly as the one before it.
+TEST(ShardedMapTest, UnprovisionedEndpointDropsTheReport) {
+  MetroFixture m{2, 1, 7};
+  ShardedNetworkMap sharded{RegionAssignment::from_topology(m.topo)};
+  const sim::SimTime now = MetroFixture::epoch_time(0);
+  sharded.ingest_batch(m.batches[0], now);
+  const std::shared_ptr<const MetroView> before = sharded.view();
+  const BorderState borders_before{*before};
+  const std::int64_t reports_before = sharded.reports_ingested();
+  const std::vector<core::NodeId> servers = m.topo.edge_servers();
+  const core::NodeId origin = m.topo.hosts().front();
+
+  const core::NodeId unprovisioned{
+      static_cast<std::int32_t>(m.topo.nodes.size())};
+  telemetry::ProbeReport bad_src = m.batches[0].front();
+  bad_src.src = unprovisioned;
+  telemetry::ProbeReport bad_dst = m.batches[0].back();
+  bad_dst.dst = core::NodeId{5000000};
+  for (telemetry::ProbeReport* bad : {&bad_src, &bad_dst}) {
+    // Loud telemetry: every entry would move a queue window if applied.
+    for (net::IntStackEntry& e : bad->entries) {
+      e.max_queue_pkts = 40;
+      e.device_max_queue_pkts = 40;
+    }
+  }
+  sharded.ingest(bad_src, now);
+  sharded.ingest(bad_dst, now);
+
+  EXPECT_EQ(sharded.rejected_reports(), 2);
+  EXPECT_EQ(sharded.rejected_entries(), 0);
+  EXPECT_EQ(sharded.reports_ingested(), reports_before);
+  const std::shared_ptr<const MetroView> after = sharded.view();
+  EXPECT_EQ(after->epoch(), before->epoch());
+  EXPECT_TRUE(BorderState{*after} == borders_before);
+  for (std::int32_t r = 0; r < after->region_count().value(); ++r) {
+    EXPECT_EQ(&after->region_snapshot(core::RegionId{r}),
+              &before->region_snapshot(core::RegionId{r}))
+        << "region " << r << " was rebuilt for a dropped report";
+  }
+  for (const auto metric :
+       {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
+    expect_ranks_identical(after->rank(origin, servers, metric, now),
+                           before->rank(origin, servers, metric, now),
+                           "after dropped reports");
   }
 }
 

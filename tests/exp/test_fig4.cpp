@@ -175,7 +175,8 @@ TEST_F(ProbeRoutingFixture, OptimizedRoutesLearnTheRingLink) {
   for (net::Host* h : network.hosts()) {
     stacks.push_back(std::make_unique<transport::HostStack>(*h));
   }
-  core::SchedulerService service{*stacks[5], core::RankerConfig{},
+  core::SchedulerService service{*stacks[5], network.topology(),
+                                 core::RankerConfig{},
                                  core::NetworkMapConfig{}};
   const auto plan = network.plan_probe_routes();
   std::vector<std::unique_ptr<telemetry::ProbeAgent>> agents;

@@ -33,7 +33,8 @@ struct ForcedCongestionFixture : ::testing::Test {
       stacks.push_back(std::make_unique<transport::HostStack>(*h));
     }
     service = std::make_unique<core::SchedulerService>(
-        *stacks[5], core::RankerConfig{}, core::NetworkMapConfig{});
+        *stacks[5], network.topology(),
+        core::RankerConfig{}, core::NetworkMapConfig{});
     for (const core::NodeId id : network.host_ids()) {
       service->register_edge_server(id);
     }

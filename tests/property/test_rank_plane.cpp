@@ -1,16 +1,17 @@
 // Compiled rank planes (DESIGN.md §15) — plane/legacy equivalence pack.
 //
-// The compiled plane path must be *byte-identical* to the uncompiled
-// reference ranking: every field of every ServerRank, in every position,
-// for every metric, queue statistic, staleness regime, and candidate
-// shape (reachable, unreachable, unknown-id, origin-as-candidate) — over
-// seeded metro topologies, on both the flat (one-region) map and the
-// two-level sharded MetroView path. The oracle is the same build with
-// RankerConfig::compile_rank_plane = false, which routes every query
-// through the uncompiled rank_paths_into path; on the flat map both are
-// also held to the tests/support Algorithm 1 oracle.
+// The compiled plane is the only ranking kernel; the legacy per-path
+// scorer survives only as the flat Algorithm 1 oracle in tests/support.
+// The plane must be *byte-identical* to that oracle: every field of every
+// ServerRank, in every position, for every metric, queue statistic,
+// staleness regime, and candidate shape (reachable, unreachable,
+// unknown-id, origin-as-candidate) — over seeded metro topologies, on
+// both the flat (one-region) map and the two-level sharded MetroView
+// path, whose delay-isolated regions make the assembled two-level paths
+// the flat shortest paths.
 
 #include <cstring>
+#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -103,10 +104,9 @@ const ConfigCase kCases[] = {
      sim::SimDuration::millis(1500)},
 };
 
-RankerConfig ranker_config(const ConfigCase& c, bool compile_plane) {
+RankerConfig ranker_config(const ConfigCase& c) {
   RankerConfig cfg;
   cfg.queue_statistic = c.statistic;
-  cfg.compile_rank_plane = compile_plane;
   return cfg;
 }
 
@@ -116,155 +116,203 @@ NetworkMapConfig map_config(const ConfigCase& c) {
   return cfg;
 }
 
-// Flat path: a one-region map with planes on vs off, and the flat oracle.
+/// Distinct candidate regions and per-region group sizes, the way
+/// pick_with groups candidates (unprovisioned ids share kNoRegion).
+std::map<core::RegionId, std::int64_t> region_groups(
+    const ShardedNetworkMap& map, const std::vector<core::NodeId>& candidates) {
+  std::map<core::RegionId, std::int64_t> groups;
+  for (const core::NodeId c : candidates) ++groups[map.region_of(c)];
+  return groups;
+}
+
+/// PickStats invariants: every candidate region is either considered or
+/// pruned, and candidates_scored is the summed size of exactly
+/// regions_considered of the groups — the origin's own group (bound 0,
+/// never pruned) among them.
+void expect_pick_stats_consistent(const PickStats& stats,
+                                  const std::map<core::RegionId, std::int64_t>&
+                                      groups,
+                                  core::RegionId origin_region,
+                                  const char* what) {
+  EXPECT_EQ(stats.regions_considered + stats.regions_pruned,
+            static_cast<std::int64_t>(groups.size()))
+      << what;
+  std::vector<std::int64_t> sizes;
+  std::size_t origin_ix = groups.size();
+  for (const auto& [region, size] : groups) {
+    if (region == origin_region) origin_ix = sizes.size();
+    sizes.push_back(size);
+  }
+  ASSERT_LT(origin_ix, sizes.size()) << what;
+  ASSERT_LT(sizes.size(), 16u) << what;
+  bool found = false;
+  for (std::uint32_t mask = 0; mask < (1u << sizes.size()) && !found;
+       ++mask) {
+    if ((mask & (1u << origin_ix)) == 0) continue;
+    std::int64_t considered = 0;
+    std::int64_t scored = 0;
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      if ((mask & (1u << i)) != 0) {
+        ++considered;
+        scored += sizes[i];
+      }
+    }
+    found = considered == stats.regions_considered &&
+            scored == stats.candidates_scored;
+  }
+  EXPECT_TRUE(found) << what << ": candidates_scored "
+                     << stats.candidates_scored << " is no sum of "
+                     << stats.regions_considered << " group sizes";
+}
+
+// Flat path: a one-region map held to the flat oracle.
 TEST(RankPlaneProperty, FlatSnapshotMatchesLegacyByteExact) {
   MetroFixture m{3, 6};
+  const auto nodes = static_cast<std::int32_t>(m.topo.nodes.size());
   for (const ConfigCase& c : kCases) {
-    ShardedNetworkMap with_plane{
-        RegionAssignment::single_region(),
-        ShardedMapConfig{.map = map_config(c), .ranker = ranker_config(c, true)}};
-    ShardedNetworkMap legacy{
-        RegionAssignment::single_region(),
-        ShardedMapConfig{.map = map_config(c), .ranker = ranker_config(c, false)}};
+    ShardedNetworkMap one_region{
+        RegionAssignment::single_region(nodes),
+        ShardedMapConfig{.map = map_config(c), .ranker = ranker_config(c)}};
     NetworkMap flat_map{map_config(c)};
-    const Ranker oracle{flat_map, ranker_config(c, false)};
+    const Ranker oracle{flat_map, ranker_config(c)};
     for (std::size_t e = 0; e < m.batches.size(); ++e) {
       const sim::SimTime now = MetroFixture::epoch_time(e);
-      with_plane.ingest_batch(m.batches[e], now);
-      legacy.ingest_batch(m.batches[e], now);
+      one_region.ingest_batch(m.batches[e], now);
       for (const auto& r : m.batches[e]) flat_map.ingest(r, now);
       for (const core::NodeId origin :
            {m.topo.hosts()[0], m.topo.hosts()[7], m.topo.hosts().back()}) {
         const auto candidates = m.candidates_with_edge_cases(origin);
         for (const auto metric :
              {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
-          const auto want = oracle.rank(origin, candidates, metric, now);
           expect_ranks_identical(
-              with_plane.rank(origin, candidates, metric, now), want, c.name);
-          expect_ranks_identical(legacy.rank(origin, candidates, metric, now),
-                                 want, c.name);
+              one_region.rank(origin, candidates, metric, now),
+              oracle.rank(origin, candidates, metric, now), c.name);
         }
       }
     }
   }
 }
 
-// Two-level path: ShardedNetworkMap / MetroView with planes on vs off,
-// including rank_topk_into prefixes and pick_with (answer + PickStats).
-TEST(RankPlaneProperty, ShardedMetroMatchesLegacyByteExact) {
-  MetroFixture m{4, 5};
+/// Two-level path on one seeded metro: ShardedNetworkMap / MetroView held
+/// to the flat oracle from every host — rank for both metrics, pick's
+/// answer, and pick's pruning observability.
+void expect_sharded_matches_oracle(std::uint64_t seed, std::int32_t pods) {
+  MetroFixture m{pods, 3, seed};
   const RegionAssignment regions = RegionAssignment::from_topology(m.topo);
   for (const ConfigCase& c : kCases) {
-    ShardedMapConfig on_cfg;
-    on_cfg.map = map_config(c);
-    on_cfg.ranker = ranker_config(c, true);
-    ShardedMapConfig off_cfg = on_cfg;
-    off_cfg.ranker.compile_rank_plane = false;
-    ShardedNetworkMap with_plane{regions, on_cfg};
-    ShardedNetworkMap legacy{regions, off_cfg};
+    SCOPED_TRACE(testing::Message() << "seed " << seed << ", " << pods
+                                    << " pods, " << c.name);
+    ShardedMapConfig cfg;
+    cfg.map = map_config(c);
+    cfg.ranker = ranker_config(c);
+    ShardedNetworkMap sharded{regions, cfg};
+    NetworkMap flat_map{map_config(c)};
     for (std::size_t e = 0; e < m.batches.size(); ++e) {
       const sim::SimTime now = MetroFixture::epoch_time(e);
-      with_plane.ingest_batch(m.batches[e], now);
-      legacy.ingest_batch(m.batches[e], now);
+      sharded.ingest_batch(m.batches[e], now);
+      for (const auto& r : m.batches[e]) flat_map.ingest(r, now);
     }
+    const Ranker oracle{flat_map, ranker_config(c)};
     const sim::SimTime now = MetroFixture::epoch_time(m.batches.size());
-    for (const core::NodeId origin :
-         {m.topo.hosts()[0], m.topo.hosts()[3], m.topo.hosts().back()}) {
+    for (const core::NodeId origin : m.topo.hosts()) {
       const auto candidates = m.candidates_with_edge_cases(origin);
+      std::vector<ServerRank> by_delay;
       for (const auto metric :
            {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
-        expect_ranks_identical(with_plane.rank(origin, candidates, metric, now),
-                               legacy.rank(origin, candidates, metric, now),
-                               c.name);
+        const auto want = oracle.rank(origin, candidates, metric, now);
+        expect_ranks_identical(sharded.rank(origin, candidates, metric, now),
+                               want, c.name);
+        if (metric == RankingMetric::kDelay) by_delay = want;
       }
-      // pick must agree in answer AND in pruning observability: the
-      // plane group kernel replaces only the per-group scoring, not the
-      // region pruning loop.
-      PickStats plane_stats;
-      PickStats legacy_stats;
-      const std::optional<ServerRank> got = with_plane.pick(
-          origin, candidates, RankingMetric::kDelay, now, &plane_stats);
-      const std::optional<ServerRank> want = legacy.pick(
-          origin, candidates, RankingMetric::kDelay, now, &legacy_stats);
-      ASSERT_EQ(got.has_value(), want.has_value()) << c.name;
-      if (got.has_value()) {
-        expect_ranks_identical({*got}, {*want}, c.name);
-      }
-      EXPECT_EQ(plane_stats.regions_considered, legacy_stats.regions_considered)
-          << c.name;
-      EXPECT_EQ(plane_stats.regions_pruned, legacy_stats.regions_pruned)
-          << c.name;
-      EXPECT_EQ(plane_stats.candidates_scored, legacy_stats.candidates_scored)
-          << c.name;
+      PickStats stats;
+      const std::optional<ServerRank> got = sharded.pick(
+          origin, candidates, RankingMetric::kDelay, now, &stats);
+      ASSERT_TRUE(got.has_value()) << c.name;
+      expect_ranks_identical({*got}, {by_delay.front()}, c.name);
+      expect_pick_stats_consistent(stats, region_groups(sharded, candidates),
+                                   sharded.region_of(origin), c.name);
+    }
+  }
+}
+
+TEST(RankPlaneProperty, ShardedMetroMatchesLegacyByteExact) {
+  for (const std::uint64_t seed : {42u, 7u, 11u}) {
+    for (const std::int32_t pods : {3, 4, 6}) {
+      expect_sharded_matches_oracle(seed, pods);
     }
   }
 }
 
 // Deterministic top-k: for every k, the partial selection's output is
-// exactly the full ranking's first min(k, n) entries — on both the plane
-// path and the legacy fallback (which truncates a full sort).
+// exactly the full ranking's first min(k, n) entries.
 TEST(RankPlaneProperty, TopKPrefixMatchesFullRanking) {
   MetroFixture m{3, 3};
-  for (const bool compiled : {true, false}) {
-    ShardedMapConfig cfg;
-    cfg.ranker.compile_rank_plane = compiled;
-    ShardedNetworkMap map{RegionAssignment::from_topology(m.topo), cfg};
-    for (std::size_t e = 0; e < m.batches.size(); ++e) {
-      map.ingest_batch(m.batches[e], MetroFixture::epoch_time(e));
-    }
-    const sim::SimTime now = MetroFixture::epoch_time(m.batches.size());
-    const std::shared_ptr<const MetroView> view = map.view();
-    MetroView::RankScratch scratch;
-    std::vector<ServerRank> full;
-    std::vector<ServerRank> topk;
-    for (const core::NodeId origin : {m.topo.hosts()[0], m.topo.hosts()[9]}) {
-      const auto candidates = m.candidates_with_edge_cases(origin);
-      for (const auto metric :
-           {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
-        view->rank_into(origin, candidates.data(), candidates.size(), metric,
-                        now, scratch, full);
-        ASSERT_EQ(full.size(), candidates.size());
-        for (const std::size_t k :
-             {std::size_t{1}, std::size_t{2}, std::size_t{7},
-              candidates.size() - 1, candidates.size(), candidates.size() + 8}) {
-          view->rank_topk_into(origin, candidates.data(), candidates.size(),
-                               metric, now, k, scratch, topk);
-          const std::size_t want = std::min(k, candidates.size());
-          ASSERT_EQ(topk.size(), want) << "k=" << k;
-          expect_ranks_identical(
-              topk, {full.begin(), full.begin() + static_cast<std::ptrdiff_t>(want)},
-              compiled ? "compiled topk" : "legacy topk");
-        }
+  ShardedNetworkMap map{RegionAssignment::from_topology(m.topo)};
+  for (std::size_t e = 0; e < m.batches.size(); ++e) {
+    map.ingest_batch(m.batches[e], MetroFixture::epoch_time(e));
+  }
+  const sim::SimTime now = MetroFixture::epoch_time(m.batches.size());
+  const std::shared_ptr<const MetroView> view = map.view();
+  MetroView::RankScratch scratch;
+  std::vector<ServerRank> full;
+  std::vector<ServerRank> topk;
+  const core::NodeId ghost{888888};
+  for (const core::NodeId origin : {m.topo.hosts()[0], m.topo.hosts()[9], ghost}) {
+    const auto candidates = m.candidates_with_edge_cases(origin);
+    for (const auto metric :
+         {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
+      view->rank_into(origin, candidates.data(), candidates.size(), metric,
+                      now, scratch, full);
+      ASSERT_EQ(full.size(), candidates.size());
+      for (const std::size_t k :
+           {std::size_t{1}, std::size_t{2}, std::size_t{7},
+            candidates.size() - 1, candidates.size(), candidates.size() + 8}) {
+        view->rank_topk_into(origin, candidates.data(), candidates.size(),
+                             metric, now, k, scratch, topk);
+        const std::size_t want = std::min(k, candidates.size());
+        ASSERT_EQ(topk.size(), want) << "k=" << k;
+        expect_ranks_identical(
+            topk, {full.begin(), full.begin() + static_cast<std::ptrdiff_t>(want)},
+            "topk");
       }
     }
   }
 }
 
-// Unknown origin (never probed, no slot anywhere): both paths must
-// rank every candidate unreachable, identically.
+// Unknown origin (never probed, no slot anywhere): the kernel runs over
+// an empty plane and must rank every candidate unreachable, in server-id
+// order — exactly the oracle's answer.
 TEST(RankPlaneProperty, UnknownOriginRanksIdentically) {
   MetroFixture m{2, 2};
-  ShardedMapConfig on_cfg;
-  ShardedMapConfig off_cfg;
-  off_cfg.ranker.compile_rank_plane = false;
-  ShardedNetworkMap with_plane{RegionAssignment::from_topology(m.topo), on_cfg};
-  ShardedNetworkMap legacy{RegionAssignment::from_topology(m.topo), off_cfg};
+  ShardedNetworkMap sharded{RegionAssignment::from_topology(m.topo)};
+  NetworkMap flat_map;
   for (std::size_t e = 0; e < m.batches.size(); ++e) {
-    with_plane.ingest_batch(m.batches[e], MetroFixture::epoch_time(e));
-    legacy.ingest_batch(m.batches[e], MetroFixture::epoch_time(e));
+    sharded.ingest_batch(m.batches[e], MetroFixture::epoch_time(e));
+    for (const auto& r : m.batches[e]) {
+      flat_map.ingest(r, MetroFixture::epoch_time(e));
+    }
   }
+  const Ranker oracle{flat_map};
   const sim::SimTime now = MetroFixture::epoch_time(m.batches.size());
   const core::NodeId ghost{888888};
   const auto candidates = m.topo.edge_servers();
   for (const auto metric :
        {RankingMetric::kDelay, RankingMetric::kBandwidth}) {
-    const auto got = with_plane.rank(ghost, candidates, metric, now);
-    expect_ranks_identical(got, legacy.rank(ghost, candidates, metric, now),
+    const auto got = sharded.rank(ghost, candidates, metric, now);
+    expect_ranks_identical(got, oracle.rank(ghost, candidates, metric, now),
                            "unknown origin");
-    for (const ServerRank& r : got) {
-      EXPECT_EQ(r.delay_estimate, sim::SimDuration::max());
-      EXPECT_EQ(r.bandwidth_estimate.bps(), 0.0);
+    ASSERT_EQ(got.size(), candidates.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].delay_estimate, sim::SimDuration::max());
+      EXPECT_EQ(got[i].bandwidth_estimate.bps(), 0.0);
+      if (i > 0) {
+        EXPECT_LT(got[i - 1].server, got[i].server);
+      }
     }
+    const std::optional<ServerRank> best =
+        sharded.pick(ghost, candidates, metric, now);
+    ASSERT_TRUE(best.has_value());
+    expect_ranks_identical({*best}, {got.front()}, "unknown origin pick");
   }
 }
 

@@ -149,12 +149,15 @@ std::string render_ranks(const std::vector<core::ServerRank>& ranks) {
 
 /// A scheduler on the Fig. 4 scheduler host fed hand-made probe packets
 /// (no probe agents run): a two-switch chain src -> s1 -> s2 -> scheduler
-/// per probe, so the test controls every report the map sees.
+/// per probe, so the test controls every report the map sees. The chains
+/// name Fig. 4's own ids (hosts 0-7, switches 8-19), the ids the
+/// scheduler is provisioned with.
 struct LazyPublishFixture {
   sim::Simulator sim;
   exp::Fig4Network network{sim, exp::Fig4Config{}};
   transport::HostStack stack{network.scheduler_host()};
-  core::SchedulerService service{stack, core::RankerConfig{},
+  core::SchedulerService service{stack, network.topology(),
+                                 core::RankerConfig{},
                                  core::NetworkMapConfig{}};
   core::NetworkMap flat;
 
@@ -190,8 +193,8 @@ struct LazyPublishFixture {
 TEST(PathCacheProperty, NeverServesPreIngestRankings) {
   sim::Rng rng{99};
   LazyPublishFixture f;
-  const core::NodeId origin{30};
-  const std::vector<core::NodeId> servers{core::NodeId{31}, core::NodeId{32}};
+  const core::NodeId origin{0};
+  const std::vector<core::NodeId> servers{core::NodeId{1}, core::NodeId{2}};
   for (const core::NodeId s : servers) f.service.register_edge_server(s);
 
   for (int round = 0; round < 30; ++round) {
@@ -199,11 +202,11 @@ TEST(PathCacheProperty, NeverServesPreIngestRankings) {
     // the chains reaching the two candidate servers and the origin.
     const auto delay =
         sim::SimDuration::microseconds(rng.uniform_int(500, 20'000));
-    f.probe(servers[0], core::NodeId{40}, core::NodeId{41}, delay,
+    f.probe(servers[0], core::NodeId{8}, core::NodeId{9}, delay,
             rng.uniform_int(0, 32));
-    f.probe(servers[1], core::NodeId{42}, core::NodeId{41}, delay * 2,
+    f.probe(servers[1], core::NodeId{10}, core::NodeId{9}, delay * 2,
             rng.uniform_int(0, 32));
-    f.probe(origin, core::NodeId{43}, core::NodeId{41}, delay / 2,
+    f.probe(origin, core::NodeId{11}, core::NodeId{9}, delay / 2,
             rng.uniform_int(0, 32));
 
     // The next rank_for must observe every report applied so far.
@@ -222,14 +225,14 @@ TEST(PathCacheProperty, NeverServesPreIngestRankings) {
 
 TEST(PathCacheProperty, CountersSeparateHitsFromRebuilds) {
   LazyPublishFixture f;
-  const core::NodeId origin{30};
-  f.service.register_edge_server(core::NodeId{31});
+  const core::NodeId origin{0};
+  f.service.register_edge_server(core::NodeId{1});
   const std::int64_t base = f.service.map().view_publishes();
 
   // Applying reports publishes nothing by itself.
-  f.probe(core::NodeId{31}, core::NodeId{40}, core::NodeId{41},
+  f.probe(core::NodeId{1}, core::NodeId{8}, core::NodeId{9},
           sim::SimDuration::milliseconds(1), 0);
-  f.probe(origin, core::NodeId{43}, core::NodeId{41},
+  f.probe(origin, core::NodeId{11}, core::NodeId{9},
           sim::SimDuration::milliseconds(1), 0);
   EXPECT_EQ(f.service.map().view_publishes(), base);
 
@@ -242,7 +245,7 @@ TEST(PathCacheProperty, CountersSeparateHitsFromRebuilds) {
   EXPECT_EQ(f.service.map().view_publishes(), base + 1);
 
   // A new report makes the next read rebuild.
-  f.probe(core::NodeId{31}, core::NodeId{40}, core::NodeId{41},
+  f.probe(core::NodeId{1}, core::NodeId{8}, core::NodeId{9},
           sim::SimDuration::milliseconds(5), 0);
   (void)f.service.rank_for(origin, core::RankingMetric::kDelay);
   EXPECT_EQ(f.service.map().view_publishes(), base + 2);

@@ -179,9 +179,9 @@ TEST(ServeFrontendTest, AgreesWithDirectPickAndRankEveryEpoch) {
 
 // Border-gateway origins through the wire: every region's border hosts
 // get kOk answers equal to the flat oracle, on the pick path (top-1
-// delay) and the top-k path — before and after a probe report with a
-// forged INT device id turns that report's destination host into a
-// border.
+// delay) and the top-k path — and a probe report with a forged INT
+// device id neither turns that report's destination host into a border
+// nor changes what it is served.
 TEST(ServeFrontendTest, BorderOriginsServeLikeTheFlatOracle) {
   MetroFixture m{4, 1, 7};
   core::ShardedNetworkMap map{core::RegionAssignment::from_topology(m.topo)};
@@ -226,15 +226,23 @@ TEST(ServeFrontendTest, BorderOriginsServeLikeTheFlatOracle) {
     }
   }
 
+  // A forged INT device id is rejected at ingest: counted, no summary
+  // link, the destination stays a non-border, and it serves exactly like
+  // the oracle fed the report with the forged id invalidated.
   telemetry::ProbeReport forged = m.batches[0].front();
   ASSERT_FALSE(forged.entries.empty());
   forged.entries.back().device = NodeId{5000000};
+  const std::int64_t summary_links = view->summary_map().known_link_count();
   map.ingest(forged, now);
-  flat_map.ingest(forged, now);
+  telemetry::ProbeReport oracle_report = forged;
+  oracle_report.entries.back().device = core::kInvalidNode;
+  flat_map.ingest(oracle_report, now);
+  EXPECT_GT(map.rejected_entries(), 0);
+  EXPECT_EQ(map.view()->summary_map().known_link_count(), summary_links);
   const std::vector<NodeId>& dst_borders =
       map.view()->borders_of(map.region_of(forged.dst));
-  ASSERT_TRUE(std::binary_search(dst_borders.begin(), dst_borders.end(),
-                                 forged.dst));
+  EXPECT_FALSE(std::binary_search(dst_borders.begin(), dst_borders.end(),
+                                  forged.dst));
   expect_serves_like_oracle(forged.dst, "forged-entry destination");
   EXPECT_EQ(ctx.malformed, 0);
 }

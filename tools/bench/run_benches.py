@@ -10,7 +10,7 @@ Outputs (written to --out-dir, committed at tools/bench/):
                      ranking, Dijkstra, switch pipeline, TCP) and
                      bench/micro_concurrent (multi-threaded rank QPS over
                      a one-region map's published view, publish/batch
-                     cost, plane vs legacy metro QPS); the "benchmarks"
+                     cost, compiled-plane metro QPS); the "benchmarks"
                      arrays are concatenated so
                      one baseline gates every micro binary.
   BENCH_suite.json   wall-clock seconds of the scaled Fig.-5 suite at

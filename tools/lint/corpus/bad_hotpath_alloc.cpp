@@ -19,7 +19,7 @@ struct Ranker {
   Scratch scratch_;
 
   // Named hot-path function (HOT_PATH_FUNCTIONS).
-  int pick_server(int device) {
+  int device_hop_latency(int device) {
     std::vector<Rank> local;  // expect(hotpath-alloc)
     auto owned = std::make_unique<Rank>();  // expect(hotpath-alloc)
     Rank* raw = new Rank{};  // expect(hotpath-alloc)

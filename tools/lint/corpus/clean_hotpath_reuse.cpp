@@ -20,7 +20,7 @@ struct Ranker {
   }
 
   // Hot path: reuses the member scratch, zero allocator calls.
-  int pick_server(int device) {
+  int device_hop_latency(int device) {
     int best = 0;
     for (const Rank& r : scratch_) {
       if (r.server < scratch_[static_cast<unsigned>(best)].server) {

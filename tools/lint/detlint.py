@@ -295,11 +295,6 @@ DEFERRED_CALL_RE = re.compile(
 # (DESIGN.md §10). Extend locally with `// intsched-lint: hot-path` on the
 # line above a function definition.
 HOT_PATH_FUNCTIONS = frozenset((
-    "pick_server",
-    "rank_servers",
-    "best_region",
-    "estimate_path_delay",
-    "path_delay_estimate",
     "estimate_k_factor",
     "egress_service_delay",
     "try_transmit",
